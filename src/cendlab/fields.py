@@ -359,10 +359,10 @@ class CyclotomicField:
             raise FieldError("modulus is not irreducible; cannot invert")
         c = r1[0]
         d = self.degree
-        inv = [x / c for x in s1[:d]] + [zero] * max(0, d - len(s1))
-        # s1 may exceed degree transiently; reduce through multiplication.
-        elem = CycElem(self, tuple(inv[:d]))
-        return elem
+        # Bezout bound: deg s1 <= phi(m) - deg(last nonconstant remainder)
+        # < phi(m) = d, so s1 is already reduced modulo Phi_m.
+        inv = [x / c for x in s1] + [zero] * (d - len(s1))
+        return CycElem(self, tuple(inv))
 
     def scalar(self, x):
         d = self.degree

@@ -245,7 +245,8 @@ class SubspaceBasis:
         return len(self.rows)
 
     def reduce(self, vec):
-        """Residual of vec after elimination against the basis rows."""
+        """Residual of vec after elimination against the basis rows; shared
+        with ``EchelonBuilder``, whose rows and pivots have the same form."""
         vec = list(vec)
         for row, piv in zip(self.rows, self.pivots):
             c = vec[piv]
@@ -287,18 +288,8 @@ class EchelonBuilder:
     def dim(self):
         return len(self.rows)
 
-    def reduce(self, vec):
-        vec = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            c = vec[piv]
-            if c:
-                for j, b in enumerate(row):
-                    if b:
-                        vec[j] = vec[j] - c * b
-        return vec
-
-    def contains(self, vec):
-        return not any(self.reduce(vec))
+    reduce = SubspaceBasis.reduce
+    contains = SubspaceBasis.contains
 
     def add(self, vec):
         """Insert vec; returns the new canonical row, or None if dependent."""
@@ -420,6 +411,26 @@ def matrix_units(n, field=QQ):
     return [Mat.unit(n, n, i, j, field) for i in range(n) for j in range(n)]
 
 
+def automorphism_defect(images, n, field=QQ):
+    """None when ``images[p*n+q]``, the images of the matrix units, define a
+    unital multiplicative map of the n-by-n matrices; otherwise a phrase
+    naming the first failure."""
+    zero = Mat.zero(n, n, field)
+    total = zero
+    for p in range(n):
+        total = total + images[p * n + p]
+    if total != Mat.identity(n, field):
+        return "does not preserve the identity"
+    for a in range(n * n):
+        pa, qa = divmod(a, n)
+        for b in range(n * n):
+            pb, qb = divmod(b, n)
+            expect = images[pa * n + qb] if qa == pb else zero
+            if images[a] * images[b] != expect:
+                return f"is not multiplicative on units ({pa},{qa}),({pb},{qb})"
+    return None
+
+
 def skolem_noether(images, n, field=QQ) -> Mat:
     """Conjugating matrix for an inner automorphism of the n-by-n matrices.
 
@@ -431,21 +442,9 @@ def skolem_noether(images, n, field=QQ) -> Mat:
     units = matrix_units(n, field)
     if len(images) != n * n:
         raise NotAutomorphismError("need one image per matrix unit")
-    total = Mat.zero(n, n, field)
-    for p in range(n):
-        total = total + images[p * n + p]
-    if total != Mat.identity(n, field):
-        raise NotAutomorphismError("map does not preserve the identity")
-    for a in range(n * n):
-        pa, qa = divmod(a, n)
-        for b in range(n * n):
-            pb, qb = divmod(b, n)
-            prod = images[a] * images[b]
-            expect = images[pa * n + qb] if qa == pb else Mat.zero(n, n, field)
-            if prod != expect:
-                raise NotAutomorphismError(
-                    f"map is not multiplicative on units ({pa},{qa}),({pb},{qb})"
-                )
+    defect = automorphism_defect(images, n, field)
+    if defect is not None:
+        raise NotAutomorphismError(f"map {defect}")
     rows = []
     zero = field.zero
     for u_idx, unit in enumerate(units):

@@ -12,10 +12,10 @@ algebra, and the irreducibility decision with certificates.
 
 from __future__ import annotations
 
-from .conformal import Ambient, DiffElem, SubSpan, diff_product, subalgebra_closure_witness
+from .conformal import Ambient, DiffElem, SubSpan, subalgebra_closure_witness
 from .groups import orbits
 from .hopf import AElem, HElem
-from .linalg import EchelonBuilder, Mat, SubspaceBasis, nullspace
+from .linalg import EchelonBuilder, Mat, SubspaceBasis, nullspace, span_closure
 
 
 class WorkbenchError(ValueError):
@@ -235,12 +235,7 @@ def wn_span(C: SubSpan, raw: bool = False) -> SubspaceBasis:
         for z in amb.group.elements():
             vectors.append(evaluate(e, z).flatten())
     if raw:
-        def compose(v, w):
-            return (Mat.from_flat(v, N, N) * Mat.from_flat(w, N, N)).flatten()
-
-        from .linalg import span_closure
-
-        return span_closure(N * N, vectors, binary_steps=[compose])
+        return _composition_closure(N, vectors)
     witness = subalgebra_closure_witness(C)
     if witness is not None:
         raise WorkbenchError(
@@ -266,19 +261,19 @@ def operator_algebra(C: SubSpan, include_gamma: bool = True) -> SubspaceBasis:
     for e in C.basis_elems():
         for z in amb.group.elements():
             seeds.append(evaluate(e, z).flatten())
+    return _composition_closure(N, seeds)
 
+
+def _composition_closure(N, seeds) -> SubspaceBasis:
+    """Span of flattened N x N operators closed under composition."""
     def compose(v, w):
         return (Mat.from_flat(v, N, N) * Mat.from_flat(w, N, N)).flatten()
-
-    from .linalg import span_closure
 
     return span_closure(N * N, seeds, binary_steps=[compose])
 
 
 def module_closure(ops, seed_vec, N) -> SubspaceBasis:
     """Smallest subspace of M containing the seed and invariant under ops."""
-    from .linalg import span_closure
-
     steps = [op.apply for op in ops]
     return span_closure(N, [seed_vec], unary_steps=steps)
 
@@ -329,27 +324,6 @@ def enrich(C: SubSpan) -> SubSpan:
     return SubSpan(amb, builder.basis())
 
 
-def enrich_all_gamma(C: SubSpan) -> SubSpan:
-    """Exploratory variant: span of (1 (x) T_a (x) E) o_gamma c over all
-    gamma as well; strictly larger than ``enrich`` in general and not used
-    by any decision."""
-    amb = C.ambient
-    elems = list(C.basis_elems())
-    out = list(elems)
-    for alpha in amb.gset.points():
-        mult = DiffElem(
-            amb,
-            {
-                (g, alpha): Mat.identity(amb.n, amb.field)
-                for g in amb.group.elements()
-            },
-        )
-        for gamma in amb.group.elements():
-            for c in elems:
-                out.append(diff_product(mult, c, gamma))
-    return SubSpan.from_elems(amb, out)
-
-
 class IrreducibilityResult:
     __slots__ = ("irreducible", "enriched_dim", "certificate", "flag")
 
@@ -397,7 +371,8 @@ def is_irreducible(C: SubSpan) -> IrreducibilityResult:
     operator span, which kills invariant submodules over any field; a
     proper enrichment forces reducibility after base change, and the search
     for a rational certificate may then fail, which is flagged.
-    Requires V = G and a span closed under the products.
+    Requires V = G and a span closed under the products; a span that is
+    not closed is refused with WorkbenchError.
     """
     amb = C.ambient
     if amb.gset.size != amb.group.order:

@@ -1,7 +1,7 @@
 import pytest
 
 from cendlab.fields import QQ, CyclotomicField
-from cendlab.groups import cyclic_group, cosets, subgroups, symmetric_group
+from cendlab.groups import cyclic_group, cosets, subgroups, symmetric_group, trivial_gset
 from cendlab.conformal import Ambient, DiffElem, SubSpan, cend, cur, diff_product, subalgebra_closure_witness
 from cendlab.linalg import Mat
 from cendlab.classify import (
@@ -174,6 +174,30 @@ def test_analyze_rejects_reducible():
     w = SubSpan.from_elems(amb, [amb.basis_elem(x, 0, 0, 0) for x in range(2)])
     with pytest.raises(ClassifyError):
         analyze_Se(w)
+
+
+def test_non_closed_dense_span_is_refused():
+    # chi fails representative independence, so the span is homogeneous
+    # and every point block spans M_n, but it is not closed
+    c2 = cyclic_group(2)
+    c2_chi = ChiFunction(c2, [[q(1), q(-1)], [q(1), q(1)]])
+    c4 = cyclic_group(4)
+    vals = [[q(1)] * 4 for _ in range(4)]
+    vals[1][2] = q(-1)
+    for group, sub, chi, n in ((c2, (0, 1), c2_chi, 1), (c4, (0, 2), ChiFunction(c4, vals), 2)):
+        assert not validate_chi(group, sub, chi)[0]
+        span = chi_span(group, sub, chi, n, QQ)
+        assert subalgebra_closure_witness(span) is not None
+        for decide in (analyze_Se, canonicalize):
+            with pytest.raises(ClassifyError, match="grading product rule fails"):
+                decide(span)
+
+
+def test_analyze_refuses_v_other_than_g():
+    g = cyclic_group(2)
+    C = cend(Ambient(g, 1, gset=trivial_gset(g, 1)))
+    with pytest.raises(ClassifyError, match="V = G"):
+        analyze_Se(C)
 
 
 def test_build_sigma_identity():

@@ -178,3 +178,52 @@ def test_field_env_override(tmp_path, monkeypatch):
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_irreducible_non_closed_generators_exit_2(tmp_path):
+    # C(C2, chi) for a chi that fails representative independence: the
+    # span is homogeneous and dense but not closed under the products
+    gens = [[{"g": 0, "w": 0, "matrix": [["1"]]}, {"g": 0, "w": 1, "matrix": [["-1"]]}],
+            [{"g": 1, "w": 0, "matrix": [["1"]]}, {"g": 1, "w": 1, "matrix": [["1"]]}]]
+    proc, report = run_cli(
+        tmp_path,
+        {
+            "command": "irreducible",
+            "group": {"kind": "cyclic", "n": 2},
+            "n": 1,
+            "generators": gens,
+        },
+    )
+    assert proc.returncode == 2
+    assert report is None
+    assert "input error: span is not a subalgebra" in proc.stderr
+
+
+def test_every_manifest_id_is_emitted():
+    from cendlab.checks import CHECK_MANIFEST
+    from cendlab.cli import run_job
+
+    c2 = {"kind": "cyclic", "n": 2}
+    c4 = {"kind": "cyclic", "n": 4}
+    unit = [[{"g": 0, "w": 0, "matrix": [["1"]]}]]
+    reducible = [[{"g": g, "w": 0, "matrix": [["1"]]}] for g in range(2)]
+    bad_chi = [["1"] * 4 for _ in range(4)]
+    bad_chi[1][2] = "-1"
+    jobs = [
+        {"command": "axioms", "group": c2, "n": 1},
+        {"command": "hopf", "group": c2},
+        {"command": "phi", "group": c2, "n": 1},
+        {"command": "wn", "group": c2, "n": 1},
+        {"command": "irreducible", "group": c2, "n": 1, "generators": reducible},
+        {"command": "ideal", "group": c2, "n": 1, "side": "left", "generators": unit},
+        {"command": "ideal", "group": c2, "n": 1, "side": "right", "generators": unit},
+        {"command": "simple", "group": {"kind": "cyclic", "n": 3},
+         "gset": {"kind": "trivial", "size": 2}, "n": 1},
+        {"command": "classify", "group": c4, "n": 1, "subgroup": [0, 2]},
+        {"command": "classify", "group": c4, "n": 1, "subgroup": [0, 2],
+         "chi": {"values": bad_chi}},
+        {"command": "weyl", "budget": 6, "degree": 2},
+        {"command": "operad", "max_m": 6, "trials": 10},
+    ]
+    emitted = {check["id"] for job in jobs for check in run_job(job)["checks"]}
+    assert emitted == set(CHECK_MANIFEST)

@@ -14,7 +14,6 @@ from cendlab.workbench import (
     check_Tinvariance,
     construct_shift_functions,
     enrich,
-    enrich_all_gamma,
     evaluate,
     fourier,
     fourier_inv,
@@ -226,11 +225,6 @@ def test_enrich_examples(c2_amb):
     assert enrich(cur(cyclic_group(2), 1)).is_full()
     w = witness_span(c2_amb)
     assert enrich(w) == w and w.dim == 2
-
-
-def test_enrich_all_gamma_larger(c2_amb):
-    w = witness_span(c2_amb)
-    assert enrich_all_gamma(w).dim >= enrich(w).dim
 
 
 def test_is_irreducible_cases(c2_amb):
