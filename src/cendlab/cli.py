@@ -37,6 +37,7 @@ from .operad import (
 from .workbench import (
     WorkbenchError,
     IdealShapeError,
+    NotTInvariantError,
     evaluate,
     ideal_shape,
     is_essential,
@@ -155,7 +156,13 @@ def run_phi(job, report):
     witness = None
     basis = [amb.basis_elem(*t) for t in amb.basis_indices()]
     for x in basis:
-        if phi(phi_inv(x)) != x:
+        try:
+            back = phi(phi_inv(x))
+        except NotTInvariantError as exc:
+            ok_round = False
+            witness = {"element": jsonio.diffelem_to_json(x), "not_invariant": exc.witness}
+            break
+        if back != x:
             ok_round = False
             witness = jsonio.diffelem_to_json(x)
             break
@@ -187,10 +194,23 @@ def run_phi(job, report):
             cache[key] = phi_inv(x)
         return cache[key]
 
+    transport_witness = None
     for a, b, g in pairs:
         prod = diff_product(a, b, g)
-        if phi(op_product(family(a), family(b), g)) != prod:
+        not_invariant = None
+        try:
+            transported = phi(op_product(family(a), family(b), g))
+        except NotTInvariantError as exc:
+            transported, not_invariant = None, exc.witness
+        if transported != prod:
             ok_transport = False
+            transport_witness = {
+                "a": jsonio.diffelem_to_json(a),
+                "b": jsonio.diffelem_to_json(b),
+                "g": g,
+            }
+            if not_invariant is not None:
+                transport_witness["not_invariant"] = not_invariant
             break
         for z in group.elements():
             if evaluate(a, g) * evaluate(b, z) != evaluate(prod, group.mul(z, g)):
@@ -199,7 +219,7 @@ def run_phi(job, report):
         if not ok_prodlaw:
             break
     _check(report, "phi.roundtrip", ok_round, witness)
-    _check(report, "phi.transport", ok_transport)
+    _check(report, "phi.transport", ok_transport, transport_witness)
     _check(report, "op.product-law", ok_prodlaw)
     report["result"] = {"basis_size": len(basis), "mode": mode}
 
@@ -221,12 +241,8 @@ def run_wn(job, report):
         for z in amb.group.elements()
     ]
     ops = [op for op in ops if not op.is_zero()]
-    closures_full = True
-    for w in amb.gset.points():
-        for i in range(amb.n):
-            closure = module_closure(ops, module_unit(amb, w, i), N)
-            if closure.dim != N:
-                closures_full = False
+    seeds = [module_unit(amb, w, i) for w in amb.gset.points() for i in range(amb.n)]
+    closures_full = all(c.dim == N for c in module_closure(ops, seeds, N))
     _check(report, "wn.vector-closure", closures_full)
     report["result"] = {"wn_dim": basis.dim}
 

@@ -191,6 +191,28 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols})"
 
 
+def sparse_apply(mat: Mat):
+    """``mat.apply`` as a function that visits only the nonzero entries of
+    each row, which it lists once: the cheap form for many products with
+    one sparse matrix.  It gives the values ``mat.apply`` gives."""
+    zero = mat._zero_entry()
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in mat.rows]
+
+    def apply(vec):
+        out = []
+        for row in rows:
+            acc = None
+            for j, a in row:
+                v = vec[j]
+                if v:
+                    term = a * v
+                    acc = term if acc is None else acc + term
+            out.append(zero if acc is None else acc)
+        return out
+
+    return apply
+
+
 def _rref_rows(rows):
     """In-place reduced row echelon form; returns (nonzero rows, pivot cols)."""
     nrows = len(rows)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from .conformal import Ambient, DiffElem, SubSpan, subalgebra_closure_witness
 from .groups import orbits
 from .hopf import AElem, HElem
-from .linalg import EchelonBuilder, Mat, SubspaceBasis, nullspace, span_closure
+from .linalg import EchelonBuilder, Mat, SubspaceBasis, nullspace, span_closure, sparse_apply
 
 
 class WorkbenchError(ValueError):
@@ -131,15 +131,35 @@ def left_shift_family(amb: Ambient) -> ConfOperator:
 
 def check_Tinvariance(a: ConfOperator):
     """(True, None) when a(g)(fu) = (L_g f)(a(g)u) holds for every basis
-    function and every g; otherwise (False, witness)."""
+    function and every g; otherwise (False, {"g": g, "w": w}) for the first
+    g in group order and the least point w whose indicator breaks the law.
+
+    Decided by a scan of the support.  On the indicator of w the law reads
+    a(g) Gamma_w = Gamma_{g^-1.w} a(g), where Gamma_w keeps the coordinates
+    at w.  An entry of a(g) in row block v and column block c survives on
+    the left iff c = w, and on the right iff v = g^-1.w, i.e. w = g.v.  So
+    the law holds at every w iff each nonzero entry of a(g) sits at
+    c = g.v, and a nonzero entry with c != g.v breaks it at exactly w = c
+    and w = g.v.  The least of min(c, g.v) over those entries is thus the
+    first failing w in point order, the witness a test of each w in turn
+    would report.
+    """
     amb = a.ambient
+    n = amb.n
+    size = amb.gset.size
+    act = amb.gset.act
     for g in amb.group.elements():
-        op = a.at(g)
-        for w in amb.gset.points():
-            gamma_w = gamma_op(_point_fn(amb, w), amb)
-            shifted = gamma_op(_point_fn(amb, amb.gset.act(amb.group.inv(g), w)), amb)
-            if op * gamma_w != shifted * op:
-                return False, {"g": g, "w": w}
+        rows = a.at(g).rows
+        least = size
+        for v in amb.gset.points():
+            gv = act(g, v)
+            lo, hi = gv * n, gv * n + n
+            for row in rows[v * n : v * n + n]:
+                if any(row[:lo]) or any(row[hi:]):
+                    c = next(j for j, x in enumerate(row) if x and not lo <= j < hi)
+                    least = min(least, c // n, gv)
+        if least < size:
+            return False, {"g": g, "w": least}
     return True, None
 
 
@@ -272,10 +292,13 @@ def _composition_closure(N, seeds) -> SubspaceBasis:
     return span_closure(N * N, seeds, binary_steps=[compose])
 
 
-def module_closure(ops, seed_vec, N) -> SubspaceBasis:
-    """Smallest subspace of M containing the seed and invariant under ops."""
-    steps = [op.apply for op in ops]
-    return span_closure(N, [seed_vec], unary_steps=steps)
+def module_closure(ops, seeds, N):
+    """For each seed in turn, the smallest subspace of M containing it and
+    invariant under ops.  Each operator is applied through its nonzero
+    entries, listed once for all seeds."""
+    steps = [sparse_apply(op) for op in ops]
+    for seed in seeds:
+        yield span_closure(N, [seed], unary_steps=steps)
 
 
 def centralizer(ops, N, field) -> SubspaceBasis:
@@ -355,8 +378,7 @@ def invariant_submodule_search(C: SubSpan) -> SubspaceBasis | None:
     seeds = [module_unit(amb, w, i) for w in amb.gset.points() for i in range(amb.n)]
     # one deterministic dense probe in addition to the coordinate vectors
     seeds.append([one] * N)
-    for seed in seeds:
-        closure = module_closure(ops, seed, N)
+    for closure in module_closure(ops, seeds, N):
         if 0 < closure.dim < N:
             return closure
     return None

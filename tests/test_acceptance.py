@@ -216,10 +216,8 @@ def test_criterion_05_wn_dimension_and_closures():
                 for z in group.elements()
                 if not (op := evaluate(e, z)).is_zero()
             ]
-            for w in amb.gset.points():
-                for i in range(n):
-                    closure = module_closure(ops, module_unit(amb, w, i), N)
-                    assert closure.dim == N
+            seeds = [module_unit(amb, w, i) for w in amb.gset.points() for i in range(n)]
+            assert [c.dim for c in module_closure(ops, seeds, N)] == [N] * len(seeds)
 
 
 @criterion(6, "one-sided ideal shapes")

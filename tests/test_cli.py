@@ -227,3 +227,28 @@ def test_every_manifest_id_is_emitted():
     ]
     emitted = {check["id"] for job in jobs for check in run_job(job)["checks"]}
     assert emitted == set(CHECK_MANIFEST)
+
+
+def test_phi_broken_invariance_is_a_failed_check_not_an_input_error(tmp_path, monkeypatch):
+    # a valid job whose operator families the invariance check rejects: the
+    # failure belongs to the program, so it is reported as failed checks
+    # with their witnesses and exit 1, never as an input error
+    import cendlab.workbench
+    from cendlab.cli import main
+
+    broken = {"g": 1, "w": 0}
+    monkeypatch.setattr(cendlab.workbench, "check_Tinvariance", lambda a: (False, broken))
+    job_path = tmp_path / "job.json"
+    job_path.write_text(json.dumps({"command": "phi", "group": {"kind": "cyclic", "n": 2}, "n": 1}))
+    out_path = tmp_path / "report.json"
+    assert main(["phi", "--input", str(job_path), "--output", str(out_path)]) == 1
+    report = json.loads(out_path.read_text())
+    checks = {c["id"]: c for c in report["checks"]}
+    element = {"g": 0, "w": 0, "matrix": [["1"]]}
+    assert not checks["phi.roundtrip"]["passed"]
+    assert checks["phi.roundtrip"]["detail"] == {"element": [element], "not_invariant": broken}
+    assert not checks["phi.transport"]["passed"]
+    detail = checks["phi.transport"]["detail"]
+    assert detail["not_invariant"] == broken
+    assert set(detail) == {"a", "b", "g", "not_invariant"}
+    assert not report["passed"]

@@ -13,7 +13,7 @@ NAMES = sorted(p.name[: -len(".job.json")] for p in GOLDEN.glob("*.job.json"))
 
 
 def test_golden_set_is_complete():
-    assert len(NAMES) == 9
+    assert len(NAMES) == 14
     assert all((GOLDEN / f"{name}.report.json").exists() for name in NAMES)
 
 

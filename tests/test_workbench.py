@@ -1,10 +1,13 @@
-import pytest
+import random
 
-from cendlab.fields import QQ
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cendlab.fields import QQ, CyclotomicField
 from cendlab.groups import cyclic_group, coset_gset, symmetric_group, trivial_gset, disjoint_union, regular_gset
 from cendlab.hopf import basis_h, one_h
 from cendlab.conformal import Ambient, DiffElem, SubSpan, cend, cur, diff_product
-from cendlab.linalg import Mat, SubspaceBasis
+from cendlab.linalg import Mat, SubspaceBasis, span_closure
 from cendlab.workbench import (
     ConfOperator,
     IdealShapeError,
@@ -257,9 +260,8 @@ def test_module_closure_full_for_cend(c2_amb):
     C = cend(c2_amb)
     ops = [evaluate(e, z) for e in C.basis_elems() for z in range(2)]
     ops = [op for op in ops if not op.is_zero()]
-    for w in range(2):
-        closure = module_closure(ops, module_unit(c2_amb, w, 0), 2)
-        assert closure.dim == 2
+    seeds = [module_unit(c2_amb, w, 0) for w in range(2)]
+    assert [c.dim for c in module_closure(ops, seeds, 2)] == [2, 2]
 
 
 def test_right_ideal_closure_example(c2_amb):
@@ -454,3 +456,98 @@ def test_phi_roundtrip_over_coset_gset():
             b = amb.basis_elem(*t2)
             for gg in g.elements():
                 assert phi(op_product(fa, phi_inv(b), gg)) == diff_product(a, b, gg)
+
+
+ZETA4 = CyclotomicField(4)
+C4, S3 = cyclic_group(4), symmetric_group(3)
+# (group, G-set, n): regular, coset and union G-sets
+TINV_CASES = [
+    (C4, regular_gset(C4), 2),
+    (S3, regular_gset(S3), 1),
+    (C4, coset_gset(C4, (0, 2)), 2),
+    (S3, coset_gset(S3, (0, 1)), 2),
+    (C4, disjoint_union(coset_gset(C4, (0, 2)), trivial_gset(C4, 1)), 1),
+    (S3, disjoint_union(coset_gset(S3, (0, 1)), regular_gset(S3)), 1),
+]
+
+
+def dense_tinvariance(a):
+    """The law as stated, a(g) Gamma_w == Gamma_{g^-1.w} a(g), tested with
+    dense products for each g and then each w in order."""
+    amb = a.ambient
+    field = amb.field
+
+    def indicator(w):
+        return [field.one if v == w else field.zero for v in amb.gset.points()]
+
+    for g in amb.group.elements():
+        op = a.at(g)
+        for w in amb.gset.points():
+            shifted = amb.gset.act(amb.group.inv(g), w)
+            if op * gamma_op(indicator(w), amb) != gamma_op(indicator(shifted), amb) * op:
+                return False, {"g": g, "w": w}
+    return True, None
+
+
+def scalars(field):
+    if field is QQ:
+        return st.integers(-3, 3).map(QQ.scalar)
+    coeffs = st.lists(st.integers(-2, 2), min_size=field.degree, max_size=field.degree)
+    return coeffs.map(field.scalar)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_tinvariance_scan_matches_dense_definition(data):
+    field = data.draw(st.sampled_from([QQ, ZETA4]))
+    group, gset, n = data.draw(st.sampled_from(TINV_CASES))
+    amb = Ambient(group, n, gset=gset, field=field)
+    scalar = scalars(field)
+    matrix = st.lists(st.lists(scalar, min_size=n, max_size=n), min_size=n, max_size=n)
+    keys = st.tuples(st.sampled_from(group.elements()), st.sampled_from(gset.points()))
+    comps = data.draw(st.dictionaries(keys, matrix.map(Mat), max_size=4))
+    ops = [[list(r) for r in op.rows] for op in phi_inv(DiffElem(amb, comps)).ops]
+    N = amb.module_dim
+    entry = st.tuples(
+        st.sampled_from(group.elements()), st.integers(0, N - 1), st.integers(0, N - 1)
+    )
+    for z, r, c in data.draw(st.lists(entry, max_size=3)):
+        ops[z][r][c] = ops[z][r][c] + data.draw(scalar.filter(bool))
+    family = ConfOperator(amb, [Mat(rows) for rows in ops])
+    assert check_Tinvariance(family) == dense_tinvariance(family)
+
+
+def _rand_scalar(rng, field):
+    if field is QQ:
+        return QQ.scalar(rng.randint(-2, 2))
+    return field.scalar([rng.randint(-2, 2) for _ in range(field.degree)])
+
+
+def _random_ops(rng, field, N):
+    """A dense operator with the proper invariant subspace of the first N/2
+    coordinates (block triangular, not monomial), a monomial operator and
+    a zero operator."""
+    k = N // 2
+    dense = Mat([[_rand_scalar(rng, field) if r < k or c >= k else field.zero
+                  for c in range(N)] for r in range(N)])
+    perm = rng.sample(range(N), N)
+    monomial = Mat([[_rand_scalar(rng, field) if c == perm[r] else field.zero
+                     for c in range(N)] for r in range(N)])
+    return [dense, monomial, Mat.zero(N, N, field)]
+
+
+@pytest.mark.parametrize("field", [QQ, ZETA4], ids=["QQ", "Q(zeta_4)"])
+def test_module_closure_matches_dense_apply(field):
+    rng = random.Random(7)
+    N = 6
+    for _ in range(20):
+        ops = rng.sample(_random_ops(rng, field, N), rng.randint(1, 3))
+        seeds = [
+            [_rand_scalar(rng, field) for _ in range(N)],
+            [_rand_scalar(rng, field) if j < N // 2 else field.zero for j in range(N)],
+            [field.zero] * N,
+        ]
+        expect = [
+            span_closure(N, [seed], unary_steps=[op.apply for op in ops]) for seed in seeds
+        ]
+        assert list(module_closure(ops, seeds, N)) == expect
