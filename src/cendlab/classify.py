@@ -25,7 +25,14 @@ from .linalg import (
     nullspace,
     skolem_noether,
 )
-from .workbench import _point_fn, evaluate, gamma_op
+from .workbench import (
+    GradedDecomposition,
+    _first_slot_components,
+    _point_fn,
+    evaluate,
+    gamma_op,
+    grading,
+)
 
 
 class ClassifyError(ValueError):
@@ -40,6 +47,12 @@ class InvalidChiError(ClassifyError):
 
 class NonScalarError(ClassifyError):
     pass
+
+
+class NotIrreducibleError(ClassifyError):
+    def __init__(self, message, enriched_dim):
+        self.enriched_dim = enriched_dim
+        super().__init__(message)
 
 
 class ChiFunction:
@@ -143,122 +156,18 @@ def build_C(group, subgroup_ids, chi: ChiFunction, n, field) -> SubSpan:
     return chi_span(group, subgroup_ids, chi, n, field)
 
 
-class GradedDecomposition:
-    """First-slot grading of a span, with the classification data filled in
-    by ``analyze_Se``."""
-
-    __slots__ = (
-        "ambient",
-        "components",
-        "graded_report",
-        "classes",
-        "subgroup",
-        "reps",
-        "theta_images",
-    )
-
-    def __init__(self, ambient, components, graded_report):
-        self.ambient = ambient
-        self.components = components  # g -> SubspaceBasis in A (x) M_n coords
-        self.graded_report = graded_report
-        self.classes = None
-        self.subgroup = None
-        self.reps = None
-        self.theta_images = None
-
-
-def _slice_block(amb: Ambient, row, g):
-    block = amb.gset.size * amb.n * amb.n
-    base = amb.index(g, 0, 0, 0)
-    return list(row[base : base + block])
-
-
-def _first_slot_components(C: SubSpan):
-    """The first-slot components S_g of a span, g -> SubspaceBasis in
-    A (x) M_n coordinates; raises unless they reassemble the span."""
-    amb = C.ambient
-    block = amb.gset.size * amb.n * amb.n
-    components = {}
-    for g in amb.group.elements():
-        vectors = []
-        for row in C.basis.rows:
-            piece = _slice_block(amb, row, g)
-            if any(piece):
-                vectors.append(piece)
-        components[g] = SubspaceBasis.from_vectors(block, vectors)
-    total = sum(comp.dim for comp in components.values())
-    if total != C.dim:
-        raise ClassifyError(
-            "span is not homogeneous in the first slot; projections give "
-            f"total dimension {total} against span dimension {C.dim}"
-        )
-    return components
-
-
-def grading(C: SubSpan) -> GradedDecomposition:
-    """Split a span into its first-slot components S_g and verify the
-    grading product rule S_g . (shift of S_h) inside S_{gh}; reports, for
-    every pair (g, h), whether the rule was verified on a nonzero product
-    or held vacuously.  A homogeneous span is closed under the products
-    iff the rule holds, so this decides closure."""
-    amb = C.ambient
-    group = amb.group
-    components = _first_slot_components(C)
-    report = {}
-    for g in group.elements():
-        ginv = group.inv(g)
-        for h in group.elements():
-            target = components[group.mul(g, h)]
-            status = "vacuous"
-            witness = None
-            for x in components[g].rows:
-                for y in components[h].rows:
-                    prod = _graded_product(amb, x, y, ginv)
-                    if any(prod):
-                        if target.contains(prod):
-                            if status == "vacuous":
-                                status = "verified"
-                        else:
-                            status = "fail"
-                            witness = {"g": g, "h": h}
-                            break
-                if status == "fail":
-                    break
-            report[(g, h)] = status if witness is None else (status, witness)
-    if any(v == "fail" or isinstance(v, tuple) for v in report.values()):
-        raise ClassifyError(f"grading product rule fails: {report}")
-    return GradedDecomposition(amb, components, report)
-
-
-def _graded_product(amb: Ambient, x, y, shift):
-    """Pointwise product of x with the shift of y inside A (x) M_n."""
-    n = amb.n
-    n2 = n * n
-    zero = amb.field.zero
-    out = [zero] * len(x)
-    for gamma in amb.gset.points():
-        xm = x[gamma * n2 : (gamma + 1) * n2]
-        if not any(xm):
-            continue
-        src = amb.gset.act(shift, gamma)
-        ym = y[src * n2 : (src + 1) * n2]
-        if not any(ym):
-            continue
-        prod = Mat.from_flat(list(xm), n, n) * Mat.from_flat(list(ym), n, n)
-        out[gamma * n2 : (gamma + 1) * n2] = prod.flatten()
-    return out
-
-
 def analyze_Se(C: SubSpan) -> GradedDecomposition:
     """Full classification data of an irreducible subalgebra over V = G,
     in one pass; any other span is refused with ClassifyError.
 
-    ``grading`` decides that C is a subalgebra.  The density loop is the
-    irreducibility test: the middle-slot enrichment of C is full iff every
-    point block of every component S_g spans M_n.  Then come the block
-    supports of the identity component (which must be the cosets of a
-    subgroup) and the per-point matrix automorphisms relating the blocks to
-    the stored representatives."""
+    ``workbench.grading`` decides closure and the enrichment, on the same
+    route as ``is_irreducible``: a span with a grading defect is not a
+    subalgebra, and one whose enrichment is not full (some point block of
+    some component S_g does not span M_n) is refused with
+    NotIrreducibleError, which carries the enriched dimension.  Then come
+    the block supports of the identity component (which must be the cosets
+    of a subgroup) and the per-point matrix automorphisms relating the
+    blocks to the stored representatives."""
     amb = C.ambient
     group = amb.group
     n = amb.n
@@ -266,14 +175,14 @@ def analyze_Se(C: SubSpan) -> GradedDecomposition:
     if amb.gset.size != group.order:
         raise ClassifyError("classification runs over V = G")
     decomp = grading(C)
-    for g in group.elements():
-        comp = decomp.components[g]
-        for gamma in amb.gset.points():
-            proj = Mat([row[gamma * n2 : (gamma + 1) * n2] for row in comp.rows])
-            if proj.rank() != n2:
-                raise ClassifyError(
-                    f"span is not irreducible: density fails at (g={g}, point={gamma})"
-                )
+    if decomp.defect is not None:
+        raise ClassifyError(f"span is not a subalgebra: {decomp.defect}")
+    for (g, gamma), rank in decomp.ranks.items():
+        if rank != n2:
+            raise NotIrreducibleError(
+                f"span is not irreducible: density fails at (g={g}, point={gamma})",
+                decomp.enriched_dim,
+            )
     s_e = decomp.components[0]
     classes = kernel_partition(s_e, amb.gset.size, n2, amb.field)
     classes = sorted(classes, key=min)
@@ -568,10 +477,12 @@ def canonicalize(C: SubSpan):
     deterministic given the input (representatives are minimal ids and the
     conjugators at representatives are pinned to the identity).
 
-    The input is analysed once.  The image keeps its classes, subgroup and
-    representatives, since sigma acts slotwise; only its first-slot
-    components are read off again.  The closing comparison with the span
-    rebuilt from (subgroup, chi) is the exact certificate of the output.
+    The input is analysed once, by ``analyze_Se``, which refuses any span
+    that is not an irreducible subalgebra.  The image keeps its classes,
+    subgroup and representatives, since sigma acts slotwise; only its
+    first-slot components are read off again.  The closing comparison with
+    the span rebuilt from (subgroup, chi) is the exact certificate of the
+    output.
     """
     amb = C.ambient
     decomp = analyze_Se(C)
@@ -587,7 +498,7 @@ def canonicalize(C: SubSpan):
         vs.append(conj.inverse())
     sigma = build_sigma(vs, amb)
     image = apply_automorphism(sigma, C)
-    straightened = GradedDecomposition(amb, _first_slot_components(image), None)
+    straightened = GradedDecomposition(amb, _first_slot_components(image))
     straightened.classes = decomp.classes
     straightened.subgroup = decomp.subgroup
     straightened.reps = decomp.reps

@@ -19,7 +19,14 @@ import sys
 
 from . import jsonio
 from .checks import CHECK_MANIFEST
-from .classify import ChiFunction, InvalidChiError, canonicalize, chi_span, validate_chi
+from .classify import (
+    ChiFunction,
+    InvalidChiError,
+    NotIrreducibleError,
+    canonicalize,
+    chi_span,
+    validate_chi,
+)
 from .conformal import Ambient, cend, check_axioms, check_axioms_exhaustive_basis, diff_product
 from .fields import FieldError, field_from_spec
 from .groups import GroupError, cosets, is_transitive, make_group, make_gset
@@ -38,6 +45,7 @@ from .workbench import (
     WorkbenchError,
     IdealShapeError,
     NotTInvariantError,
+    certificate_defect,
     evaluate,
     ideal_shape,
     is_essential,
@@ -212,8 +220,10 @@ def run_phi(job, report):
             if not_invariant is not None:
                 transport_witness["not_invariant"] = not_invariant
             break
+        a_at_g = evaluate(a, g)
+        b_ops = family(b).ops
         for z in group.elements():
-            if evaluate(a, g) * evaluate(b, z) != evaluate(prod, group.mul(z, g)):
+            if a_at_g * b_ops[z] != evaluate(prod, group.mul(z, g)):
                 ok_prodlaw = False
                 break
         if not ok_prodlaw:
@@ -258,10 +268,12 @@ def run_irreducible(job, report):
         {"enriched_dim": res.enriched_dim, "full": res.irreducible},
     )
     cert = None
-    if not res.irreducible:
-        if res.certificate is not None:
-            cert = [[amb.field.to_json(x) for x in row] for row in res.certificate.rows]
-        _check(report, "irred.certificate", cert is not None or res.flag is not None, res.flag)
+    if res.certificate is not None:
+        cert = [[amb.field.to_json(x) for x in row] for row in res.certificate.rows]
+        defect = certificate_defect(span, res.certificate)
+        _check(report, "irred.certificate", defect is None, defect)
+    elif not res.irreducible:
+        _check(report, "irred.certificate", res.flag is not None, res.flag)
     report["result"] = {
         "verdict": "irreducible" if res.irreducible else "reducible",
         "certificate": cert,
@@ -340,17 +352,18 @@ def run_classify(job, report):
             report["result"] = {"verdict": "invalid chi", "witness": _witness_json(witness, amb)}
             return
         span = chi_span(amb.group, sub, chi, amb.n, amb.field)
-    res = is_irreducible(span)
-    _check(
-        report,
-        "classify.build",
-        res.irreducible,
-        {"dim": span.dim, "enriched_dim": res.enriched_dim},
-    )
-    if not res.irreducible:
+    # canonicalize decides closure and irreducibility once, in analyze_Se;
+    # a span it accepts has every block rank n^2, so its enrichment is the
+    # whole algebra
+    try:
+        subgroup, chi_out, sigma = canonicalize(span)
+    except NotIrreducibleError as exc:
+        _check(
+            report, "classify.build", False, {"dim": span.dim, "enriched_dim": exc.enriched_dim}
+        )
         report["result"] = {"verdict": "reducible input"}
         return
-    subgroup, chi_out, sigma = canonicalize(span)
+    _check(report, "classify.build", True, {"dim": span.dim, "enriched_dim": amb.dim})
     _check(report, "classify.canonical", True, {"subgroup": list(subgroup)})
     report["result"] = {
         "subgroup": list(subgroup),

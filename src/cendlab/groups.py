@@ -179,18 +179,20 @@ def _closure(group: FiniteGroup, gens) -> frozenset:
 def subgroups(group: FiniteGroup):
     """All subgroups, as sorted id tuples.
 
-    Enumerated by closing every generating set of size <= 2, plus the
-    trivial subgroup and the whole group.  Complete for every group of
-    order < 16 (a proper subgroup needing three generators has order at
-    least 8, forcing group order at least 16); at order 16 the
-    rank-three elementary-abelian proper subgroups would be missed.
+    Cyclic extension (Neubueser): start from the cyclic subgroups, and join
+    each newly found subgroup with each cyclic subgroup it does not contain,
+    until no join is new.  Every subgroup is the join of the cyclic
+    subgroups of its elements, so the fixpoint holds them all.
     """
-    n = group.order
-    found = {frozenset({0}), frozenset(range(n))}
-    for a in range(n):
-        found.add(_closure(group, (a,)))
-        for b in range(a + 1, n):
-            found.add(_closure(group, (a, b)))
+    cyclic = {_closure(group, (a,)) for a in group.elements()}
+    found = set(cyclic)
+    frontier = set(cyclic)
+    while frontier:
+        joins = {
+            _closure(group, sub | c) for sub in frontier for c in cyclic if not c <= sub
+        }
+        frontier = joins - found
+        found |= frontier
     return sorted(tuple(sorted(s)) for s in found)
 
 

@@ -8,6 +8,13 @@ part.  On top of evaluation this module builds the tensor-to-operator
 isomorphism and its inverse, the twist that straightens left ideals,
 one-sided ideal closures, essentiality of ideals, simplicity of the
 algebra, and the irreducibility decision with certificates.
+
+Closure and the enrichment of a span are decided on one route, ``grading``:
+first-slot components, the graded product rule and per-block ranks.  Both
+``is_irreducible`` and ``classify.analyze_Se`` call it.  The closure witness
+``conformal.subalgebra_closure_witness``, the explicit enrichment ``enrich``
+and the operator-side ``operator_algebra`` stay as independent oracles that
+the tests compare the route with; no decision calls them.
 """
 
 from __future__ import annotations
@@ -324,11 +331,146 @@ def centralizer(ops, N, field) -> SubspaceBasis:
 # enrichment and irreducibility
 
 
+class GradedDecomposition:
+    """First-slot grading of a span: its components, the closure defect
+    and the per-block ranks, with the classification data filled in by
+    ``classify.analyze_Se``."""
+
+    __slots__ = (
+        "ambient",
+        "components",
+        "graded_report",
+        "defect",
+        "ranks",
+        "classes",
+        "subgroup",
+        "reps",
+        "theta_images",
+    )
+
+    def __init__(self, ambient, components):
+        self.ambient = ambient
+        self.components = components  # g -> SubspaceBasis in A (x) M_n coords
+        self.graded_report = None
+        self.defect = None
+        self.ranks = None
+        self.classes = None
+        self.subgroup = None
+        self.reps = None
+        self.theta_images = None
+
+    @property
+    def enriched_dim(self) -> int:
+        return sum(self.ranks.values())
+
+
+def _first_slot_components(C: SubSpan):
+    """The first-slot projections S_g of a span, g -> SubspaceBasis in
+    A (x) M_n coordinates.  They reassemble the span iff it is homogeneous."""
+    amb = C.ambient
+    block = amb.gset.size * amb.n * amb.n
+    components = {}
+    for g in amb.group.elements():
+        base = amb.index(g, 0, 0, 0)
+        vectors = []
+        for row in C.basis.rows:
+            piece = row[base : base + block]
+            if any(piece):
+                vectors.append(list(piece))
+        components[g] = SubspaceBasis.from_vectors(block, vectors)
+    return components
+
+
+def _graded_product(amb: Ambient, x, y, shift):
+    """Pointwise product of x with the shift of y inside A (x) M_n."""
+    n = amb.n
+    n2 = n * n
+    zero = amb.field.zero
+    out = [zero] * len(x)
+    for gamma in amb.gset.points():
+        xm = x[gamma * n2 : (gamma + 1) * n2]
+        if not any(xm):
+            continue
+        src = amb.gset.act(shift, gamma)
+        ym = y[src * n2 : (src + 1) * n2]
+        if not any(ym):
+            continue
+        prod = Mat.from_flat(list(xm), n, n) * Mat.from_flat(list(ym), n, n)
+        out[gamma * n2 : (gamma + 1) * n2] = prod.flatten()
+    return out
+
+
+def _product_rule(amb: Ambient, components):
+    """Check S_g . (shift of S_h) inside S_{gh} pair by pair.  Returns the
+    report, whether each pair was verified on a nonzero product or held
+    vacuously, and None; or the partial report and the first failure."""
+    group = amb.group
+    report = {}
+    for g in group.elements():
+        ginv = group.inv(g)
+        for h in group.elements():
+            target = components[group.mul(g, h)]
+            status = "vacuous"
+            for x in components[g].rows:
+                for y in components[h].rows:
+                    prod = _graded_product(amb, x, y, ginv)
+                    if any(prod):
+                        if not target.contains(prod):
+                            return report, f"grading product rule fails at (g={g}, h={h})"
+                        status = "verified"
+            report[(g, h)] = status
+    return report, None
+
+
+def grading(C: SubSpan) -> GradedDecomposition:
+    """Decide closure and the enrichment of a span in one pass.
+
+    This is the route the decisions take: ``is_irreducible`` and
+    ``classify.analyze_Se`` call it, and each raises its own error on a
+    defect.  ``conformal.subalgebra_closure_witness`` and ``enrich`` are the
+    independent oracles the tests compare it with.
+
+    Closure: the span is an H-submodule iff it is homogeneous, i.e. its
+    first-slot components S_g add up to it, and a homogeneous span is
+    closed under the products iff S_g . (shift of S_h) lies in S_{gh} for
+    all g, h.  ``defect`` is None when the span is closed, otherwise a
+    phrase naming the first failure; ``graded_report`` tells, for every
+    pair (g, h), whether the rule was verified on a nonzero product or held
+    vacuously.
+
+    Enrichment: ``ranks[(g, w)]`` is the rank of the span's projection onto
+    the (g, w) block.  ``enrich`` spans exactly these block projections, so
+    ``enriched_dim``, their sum, is the dimension of the enrichment for any
+    span, and the enrichment is full iff every rank is n^2.
+    """
+    amb = C.ambient
+    n2 = amb.n * amb.n
+    decomp = GradedDecomposition(amb, _first_slot_components(C))
+    total = sum(comp.dim for comp in decomp.components.values())
+    if total != C.dim:
+        decomp.defect = (
+            "not homogeneous in the first slot; projections give total "
+            f"dimension {total} against span dimension {C.dim}"
+        )
+    else:
+        decomp.graded_report, decomp.defect = _product_rule(amb, decomp.components)
+    decomp.ranks = {}
+    for g, comp in decomp.components.items():
+        for w in amb.gset.points():
+            rows = [row[w * n2 : (w + 1) * n2] for row in comp.rows]
+            decomp.ranks[(g, w)] = Mat(rows).rank()
+    return decomp
+
+
 def enrich(C: SubSpan) -> SubSpan:
     """Close the span under multiplication on the middle slot, i.e. the span
     of (1 (x) f (x) E) o_e c over functions f and c in C.  On coefficient
     vectors this is projection onto the individual middle-slot components,
-    so it always contains C."""
+    so it always contains C.
+
+    The decisions read the dimension of the enrichment off ``grading``'s
+    block ranks; this explicit construction is kept as the oracle the
+    tests compare them with."""
     amb = C.ambient
     builder = EchelonBuilder(amb.dim)
     n2 = amb.n * amb.n
@@ -361,6 +503,19 @@ class IrreducibilityResult:
         return f"IrreducibilityResult({verdict}, enriched dim {self.enriched_dim})"
 
 
+def _module_operators(C: SubSpan):
+    """The multiplication operators Gamma_w and the nonzero evaluations of
+    the basis elements of C, each with its name."""
+    amb = C.ambient
+    named = [(f"Gamma_{w}", gamma_op(_point_fn(amb, w), amb)) for w in amb.gset.points()]
+    for k, e in enumerate(C.basis_elems()):
+        for z in amb.group.elements():
+            op = evaluate(e, z)
+            if not op.is_zero():
+                named.append((f"the evaluation of basis element {k} at {z}", op))
+    return named
+
+
 def invariant_submodule_search(C: SubSpan) -> SubspaceBasis | None:
     """Look for a proper nonzero submodule of M invariant under the
     multiplication operators and all evaluations of C, by closing
@@ -368,12 +523,7 @@ def invariant_submodule_search(C: SubSpan) -> SubspaceBasis | None:
     exist even when the enrichment is proper)."""
     amb = C.ambient
     N = amb.module_dim
-    ops = [gamma_op(_point_fn(amb, w), amb) for w in amb.gset.points()]
-    for e in C.basis_elems():
-        for z in amb.group.elements():
-            op = evaluate(e, z)
-            if not op.is_zero():
-                ops.append(op)
+    ops = [op for _name, op in _module_operators(C)]
     one = amb.field.one
     seeds = [module_unit(amb, w, i) for w in amb.gset.points() for i in range(amb.n)]
     # one deterministic dense probe in addition to the coordinate vectors
@@ -381,6 +531,25 @@ def invariant_submodule_search(C: SubSpan) -> SubspaceBasis | None:
     for closure in module_closure(ops, seeds, N):
         if 0 < closure.dim < N:
             return closure
+    return None
+
+
+def certificate_defect(C: SubSpan, certificate: SubspaceBasis):
+    """None when ``certificate`` proves C reducible: a nonzero, proper
+    subspace of M invariant under every multiplication operator and every
+    nonzero evaluation of C.  Otherwise a phrase naming the first failure."""
+    N = C.ambient.module_dim
+    if certificate.ambient != N:
+        return f"certificate lives in k^{certificate.ambient}, not in M = k^{N}"
+    if certificate.dim == 0:
+        return "certificate is the zero subspace"
+    if certificate.dim == N:
+        return "certificate is all of M"
+    for name, op in _module_operators(C):
+        apply = sparse_apply(op)
+        for row in certificate.rows:
+            if not certificate.contains(apply(row)):
+                return f"certificate is not invariant under {name}"
     return None
 
 
@@ -395,19 +564,26 @@ def is_irreducible(C: SubSpan) -> IrreducibilityResult:
     for a rational certificate may then fail, which is flagged.
     Requires V = G and a span closed under the products; a span that is
     not closed is refused with WorkbenchError.
+
+    A full span is decided at once.  Any other span is decided by
+    ``grading``, in one pass: its defect refuses the span, and its block
+    ranks give the enriched dimension.  Neither the closure witness nor
+    ``enrich`` runs here; they are the oracles of the tests.
     """
     amb = C.ambient
     if amb.gset.size != amb.group.order:
         raise WorkbenchError("irreducibility is decided over V = G")
-    witness = subalgebra_closure_witness(C)
-    if witness is not None:
-        raise WorkbenchError(f"span is not a subalgebra: {witness}")
-    enriched = enrich(C)
-    if enriched.is_full():
-        return IrreducibilityResult(True, enriched.dim)
+    if C.is_full():
+        return IrreducibilityResult(True, C.dim)
+    decomp = grading(C)
+    if decomp.defect is not None:
+        raise WorkbenchError(f"span is not a subalgebra: {decomp.defect}")
+    enriched_dim = decomp.enriched_dim
+    if enriched_dim == amb.dim:
+        return IrreducibilityResult(True, enriched_dim)
     certificate = invariant_submodule_search(C)
     flag = None if certificate is not None else "enrichment-proper, no rational certificate"
-    return IrreducibilityResult(False, enriched.dim, certificate, flag)
+    return IrreducibilityResult(False, enriched_dim, certificate, flag)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from cendlab.classify import (
     theta_bridge,
     validate_chi,
 )
-from cendlab.workbench import evaluate, is_irreducible
+from cendlab.workbench import WorkbenchError, evaluate, is_irreducible
 
 from conftest import rand_invertible
 
@@ -137,8 +137,12 @@ def test_grading_rejects_inhomogeneous_span():
     mixed = SubSpan.from_elems(
         amb, [amb.basis_elem(0, 0, 0, 0) + amb.basis_elem(1, 1, 0, 0)]
     )
-    with pytest.raises(ClassifyError):
-        grading(mixed)
+    # grading names the defect; each decision refuses with its own error
+    assert grading(mixed).defect.startswith("not homogeneous in the first slot")
+    with pytest.raises(ClassifyError, match="not homogeneous"):
+        analyze_Se(mixed)
+    with pytest.raises(WorkbenchError, match="span is not a subalgebra: not homogeneous"):
+        is_irreducible(mixed)
 
 
 def test_analyze_cend():

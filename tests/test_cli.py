@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(tmp_path, job, command=None, extra=()):
     job_path = tmp_path / "job.json"
@@ -251,4 +253,36 @@ def test_phi_broken_invariance_is_a_failed_check_not_an_input_error(tmp_path, mo
     detail = checks["phi.transport"]["detail"]
     assert detail["not_invariant"] == broken
     assert set(detail) == {"a", "b", "g", "not_invariant"}
+    assert not report["passed"]
+
+
+@pytest.mark.parametrize("fake, defect", [
+    ([["1", "1"]], "certificate is not invariant under Gamma_0"),
+    ([["1", "0"], ["0", "1"]], "certificate is all of M"),
+], ids=["non-invariant", "full"])
+def test_irreducible_broken_certificate_fails_the_report(tmp_path, monkeypatch, fake, defect):
+    # the certificate of a reducible span is checked against its definition,
+    # so a wrong one fails the report (exit 1) with the defect as detail
+    import cendlab.workbench
+    from cendlab.cli import main
+    from cendlab.fields import QQ
+    from cendlab.linalg import SubspaceBasis
+
+    rows = [[QQ.scalar(int(x)) for x in row] for row in fake]
+    monkeypatch.setattr(
+        cendlab.workbench, "invariant_submodule_search", lambda C: SubspaceBasis.from_vectors(2, rows)
+    )
+    gens = [[{"g": g, "w": 0, "matrix": [["1"]]}] for g in range(2)]
+    job_path = tmp_path / "job.json"
+    job_path.write_text(json.dumps({
+        "command": "irreducible", "group": {"kind": "cyclic", "n": 2}, "n": 1, "generators": gens,
+    }))
+    out_path = tmp_path / "report.json"
+    assert main(["irreducible", "--input", str(job_path), "--output", str(out_path)]) == 1
+    report = json.loads(out_path.read_text())
+    checks = {c["id"]: c for c in report["checks"]}
+    assert checks["irred.enrich-test"]["passed"]
+    assert not checks["irred.certificate"]["passed"]
+    assert checks["irred.certificate"]["detail"] == defect
+    assert report["result"]["certificate"] == fake
     assert not report["passed"]

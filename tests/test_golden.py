@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import cendlab.conformal
+import cendlab.workbench
 from cendlab.cli import run_job
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -13,13 +15,35 @@ NAMES = sorted(p.name[: -len(".job.json")] for p in GOLDEN.glob("*.job.json"))
 
 
 def test_golden_set_is_complete():
-    assert len(NAMES) == 14
+    assert len(NAMES) == 19
     assert all((GOLDEN / f"{name}.report.json").exists() for name in NAMES)
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_golden_report(name, monkeypatch):
+def check_golden(name, monkeypatch):
     monkeypatch.delenv("CENDLAB_FIELD", raising=False)
     job = json.loads((GOLDEN / f"{name}.job.json").read_text())
     expect = (GOLDEN / f"{name}.report.json").read_text()
     assert json.dumps(run_job(job), sort_keys=True, indent=2) + "\n" == expect
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_golden_report(name, monkeypatch):
+    check_golden(name, monkeypatch)
+
+
+@pytest.mark.parametrize("name", [
+    "classify_generators_s3",
+    "classify_reducible",
+    "irreducible_irreducible",
+    "irreducible_reducible",
+])
+def test_decisions_run_without_the_oracles(name, monkeypatch):
+    # closure and irreducibility are decided by grading alone; the closure
+    # witness and the explicit enrichment are oracles for the tests
+    def oracle(*args, **kwargs):
+        raise AssertionError("a decision called an oracle")
+
+    for module in (cendlab.conformal, cendlab.workbench):
+        monkeypatch.setattr(module, "subalgebra_closure_witness", oracle)
+    monkeypatch.setattr(cendlab.workbench, "enrich", oracle)
+    check_golden(name, monkeypatch)

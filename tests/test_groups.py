@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from cendlab.groups import (
@@ -75,6 +77,17 @@ def test_subgroups_of_rank_three_elementary_abelian():
     subs = subgroups(g)
     assert len(subs) == 16
     assert tuple(range(8)) in subs
+
+
+def test_subgroups_of_rank_four_elementary_abelian():
+    # by order, C2^4 has 1, 15, 35, 15 and 1 subgroups (Gaussian binomials);
+    # the proper ones of order 8 need three generators
+    c2 = cyclic_group(2)
+    g = product_group(product_group(c2, c2), product_group(c2, c2))
+    subs = subgroups(g)
+    assert len(subs) == len(set(subs)) == 67
+    assert all(is_subgroup(g, sub) for sub in subs)
+    assert Counter(len(sub) for sub in subs) == {1: 1, 2: 15, 4: 35, 8: 15, 16: 1}
 
 
 def test_subgroups_are_subgroups(target_groups):

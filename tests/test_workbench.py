@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cendlab.fields import QQ, CyclotomicField
-from cendlab.groups import cyclic_group, coset_gset, symmetric_group, trivial_gset, disjoint_union, regular_gset
+from cendlab.groups import cyclic_group, coset_gset, symmetric_group, subgroups, trivial_gset, disjoint_union, regular_gset
 from cendlab.hopf import basis_h, one_h
-from cendlab.conformal import Ambient, DiffElem, SubSpan, cend, cur, diff_product
+from cendlab.classify import ChiFunction, apply_automorphism, build_sigma, chi_span, grading
+from cendlab.conformal import Ambient, DiffElem, SubSpan, cend, cur, diff_product, subalgebra_closure_witness
 from cendlab.linalg import Mat, SubspaceBasis, span_closure
 from cendlab.workbench import (
     ConfOperator,
@@ -551,3 +552,116 @@ def test_module_closure_matches_dense_apply(field):
             span_closure(N, [seed], unary_steps=[op.apply for op in ops]) for seed in seeds
         ]
         assert list(module_closure(ops, seeds, N)) == expect
+
+
+# (group, n) of the spans drawn for the grading property, over V = G
+GRADING_CASES = [(cyclic_group(2), 1), (cyclic_group(2), 2), (cyclic_group(3), 1), (C4, 1)]
+
+
+def _generated_subalgebra(amb, elems):
+    """The smallest H-submodule containing elems and closed under every
+    product, by closing coefficient vectors."""
+    group, n2 = amb.group, amb.n * amb.n
+    block = amb.gset.size * n2
+
+    def projection(g):
+        base = g * block
+        return lambda v: [x if base <= k < base + block else amb.field.zero for k, x in enumerate(v)]
+
+    def product(gamma):
+        return lambda v, w: diff_product(
+            DiffElem.from_vector(amb, v), DiffElem.from_vector(amb, w), gamma
+        ).vector()
+
+    basis = span_closure(
+        amb.dim,
+        [e.vector() for e in elems],
+        unary_steps=[projection(g) for g in group.elements()],
+        binary_steps=[product(gamma) for gamma in group.elements()],
+    )
+    return SubSpan(amb, basis)
+
+
+def draw_span(data, amb):
+    """A span of one of six kinds: random elements (mostly neither
+    homogeneous nor closed); random elements with one first slot each;
+    C(G1, chi) for a chi that is constant, a coboundary (valid for every
+    subgroup) or random (mostly invalid); its upper triangular part (closed
+    and reducible at n = 2 when chi is valid); the subalgebra generated by
+    random elements; or the whole algebra.  The two chi kinds are moved by
+    a random slotwise automorphism half of the time."""
+    field, group, n = amb.field, amb.group, amb.n
+    scalar = scalars(field)
+    nonzero = scalar.filter(bool)
+    matrix = st.lists(st.lists(scalar, min_size=n, max_size=n), min_size=n, max_size=n).map(Mat)
+    points = st.sampled_from(list(amb.gset.points()))
+    kind = data.draw(st.sampled_from(["random", "homogeneous", "chi", "upper", "generated", "full"]))
+    if kind == "full":
+        return cend(amb)
+    if kind in ("random", "homogeneous", "generated"):
+        elems = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            slots = st.sampled_from(list(group.elements()))
+            if kind == "homogeneous":
+                keys = st.tuples(st.just(data.draw(slots)), points)
+            else:
+                keys = st.tuples(slots, points)
+            terms = st.dictionaries(keys, matrix, min_size=1 if kind == "homogeneous" else 2, max_size=3)
+            elems.append(DiffElem(amb, data.draw(terms)))
+        if kind == "generated":
+            return _generated_subalgebra(amb, elems)
+        return SubSpan.from_elems(amb, elems)
+    sub = data.draw(st.sampled_from(subgroups(group)))
+    table = data.draw(st.sampled_from(["one", "coboundary", "random"]))
+    order = group.order
+    if table == "one":
+        values = [[field.one] * order for _ in range(order)]
+    elif table == "coboundary":
+        psi = data.draw(st.lists(nonzero, min_size=order, max_size=order))
+        mu = data.draw(st.lists(nonzero, min_size=order, max_size=order))
+        values = [
+            [psi[g] * mu[a] / mu[group.mul(group.inv(g), a)] for a in group.elements()]
+            for g in group.elements()
+        ]
+    else:
+        values = data.draw(
+            st.lists(st.lists(nonzero, min_size=order, max_size=order), min_size=order, max_size=order)
+        )
+    chi = ChiFunction(group, values)
+    span = chi_span(group, sub, chi, n, field)
+    if kind == "upper":
+        span = SubSpan.from_elems(
+            amb,
+            [
+                DiffElem(amb, {key: m for key, m in e.comps.items() if all(
+                    not m.rows[i][j] for i in range(n) for j in range(i))})
+                for e in span.basis_elems()
+            ],
+        )
+    if data.draw(st.booleans()):
+        us = [data.draw(matrix.filter(lambda m: m.rank() == n)) for _ in group.elements()]
+        span = apply_automorphism(build_sigma(us, amb), span)
+    return span
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_grading_decides_like_the_oracles(data):
+    # the one route of the decisions against the closure witness and the
+    # explicit enrichment, kept as oracles
+    field = data.draw(st.sampled_from([QQ, ZETA4]))
+    group, n = data.draw(st.sampled_from(GRADING_CASES))
+    amb = Ambient(group, n, field=field)
+    C = draw_span(data, amb)
+    closed = subalgebra_closure_witness(C) is None
+    enriched = enrich(C)
+    decomp = grading(C)
+    assert (decomp.defect is None) == closed
+    assert decomp.enriched_dim == enriched.dim
+    if not closed:
+        with pytest.raises(WorkbenchError, match="span is not a subalgebra"):
+            is_irreducible(C)
+        return
+    res = is_irreducible(C)
+    assert res.irreducible == enriched.is_full()
+    assert res.enriched_dim == enriched.dim
