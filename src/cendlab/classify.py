@@ -20,10 +20,11 @@ from .linalg import (
     Mat,
     SubspaceBasis,
     automorphism_defect,
+    combination,
     kernel_partition,
     matrix_units,
-    nullspace,
     skolem_noether,
+    sparse_nullspace,
 )
 from .workbench import (
     GradedDecomposition,
@@ -96,7 +97,11 @@ class ChiFunction:
 def validate_chi(group, subgroup_ids, chi: ChiFunction):
     """(True, None) when for every g, h and every coset the ratio
     chi(g,y) chi(h,g^-1 y) / chi(gh, y) does not depend on the
-    representative y of the coset; otherwise (False, witness)."""
+    representative y of the coset; otherwise (False, witness).
+
+    The ratios are compared crosswise, num(y) den(y_ref) = num(y_ref)
+    den(y), since every value of chi is nonzero; they are divided out only
+    for the witness."""
     if chi.group != group:
         raise ClassifyError("chi lives on a different group")
     cos = cosets(group, subgroup_ids)
@@ -105,25 +110,21 @@ def validate_chi(group, subgroup_ids, chi: ChiFunction):
             gh = group.mul(g, h)
             ginv = group.inv(g)
             for k, coset in enumerate(cos):
-                ref = None
                 ref_gamma = None
                 for gamma in coset:
-                    ratio = (
-                        chi.value(g, gamma)
-                        * chi.value(h, group.mul(ginv, gamma))
-                        / chi.value(gh, gamma)
-                    )
-                    if ref is None:
-                        ref, ref_gamma = ratio, gamma
-                    elif ratio != ref:
+                    num = chi.value(g, gamma) * chi.value(h, group.mul(ginv, gamma))
+                    den = chi.value(gh, gamma)
+                    if ref_gamma is None:
+                        ref_gamma, ref_num, ref_den = gamma, num, den
+                    elif num * ref_den != ref_num * den:
                         return False, {
                             "g": g,
                             "h": h,
                             "coset": k,
                             "gamma": ref_gamma,
                             "gamma2": gamma,
-                            "ratio": ref,
-                            "ratio2": ratio,
+                            "ratio": ref_num / ref_den,
+                            "ratio2": num / den,
                         }
     return True, None
 
@@ -203,7 +204,8 @@ def analyze_Se(C: SubSpan) -> GradedDecomposition:
                 f"block component over class {k} has dimension {ideal.dim}, not n^2"
             )
         rep = reps[k]
-        proj_rep = Mat([row[rep * n2 : (rep + 1) * n2] for row in ideal.rows])
+        zero = amb.field.zero
+        proj_rep = Mat([[row.get(rep * n2 + t, zero) for t in range(n2)] for row in ideal.srows])
         try:
             inv = proj_rep.transpose().inverse()
         except Exception:
@@ -218,11 +220,11 @@ def analyze_Se(C: SubSpan) -> GradedDecomposition:
                     unit_vec[p * n + q] = amb.field.one
                     coeffs = inv.apply(unit_vec)
                     img = [amb.field.zero] * n2
-                    for c, row in zip(coeffs, ideal.rows):
+                    for c, row in zip(coeffs, ideal.srows):
                         if c:
                             for t in range(n2):
-                                v = row[g * n2 + t]
-                                if v:
+                                v = row.get(g * n2 + t)
+                                if v is not None:
                                     img[t] = img[t] + c * v
                     images.append(Mat.from_flat(img, n, n))
             defect = automorphism_defect(images, n, amb.field)
@@ -237,29 +239,23 @@ def analyze_Se(C: SubSpan) -> GradedDecomposition:
 
 
 def _block_supported(amb: Ambient, basis: SubspaceBasis, cls) -> SubspaceBasis:
-    """Subspace of the span supported only on the given point blocks."""
+    """Subspace of the span supported only on the given point blocks: the
+    combinations of the rows that vanish at every coordinate outside them.
+    Only coordinates some row touches impose a condition."""
     n2 = amb.n * amb.n
     keep = set(cls)
-    complement_coords = [
-        gamma * n2 + t
-        for gamma in amb.gset.points()
-        if gamma not in keep
-        for t in range(n2)
-    ]
-    if not complement_coords:
+    conditions = {}
+    for i, row in enumerate(basis.srows):
+        for c, a in row.items():
+            if c // n2 not in keep:
+                conditions.setdefault(c, {})[i] = a
+    if not conditions:
         return basis
-    rows = [[row[c] for row in basis.rows] for c in complement_coords]
-    ker = nullspace(Mat(rows), amb.field)
-    vectors = []
-    for coeffs in ker.rows:
-        vec = [amb.field.zero] * basis.ambient
-        for c, row in zip(coeffs, basis.rows):
-            if c:
-                for t, v in enumerate(row):
-                    if v:
-                        vec[t] = vec[t] + c * v
-        vectors.append(vec)
-    return SubspaceBasis.from_vectors(basis.ambient, vectors)
+    ker = sparse_nullspace(basis.dim, conditions.values(), amb.field.one)
+    rows = basis.srows
+    return SubspaceBasis.from_vectors(
+        basis.ambient, [combination(coeffs, rows) for coeffs in ker.srows]
+    )
 
 
 class ConfAutomorphism:
@@ -411,7 +407,7 @@ def extract_chi(decomp: GradedDecomposition, C: SubSpan) -> ChiFunction:
             "identity component is not the straightened coset-indicator span"
         )
     values = [[None] * group.order for _ in group.elements()]
-    one = amb.field.one
+    one, zero = amb.field.one, amb.field.zero
     for g in group.elements():
         comp = decomp.components[g]
         for k, cls in enumerate(decomp.classes):
@@ -426,9 +422,9 @@ def extract_chi(decomp: GradedDecomposition, C: SubSpan) -> ChiFunction:
                     values[g][gamma] = one
                     continue
                 ratio = None
-                for row in block.rows:
-                    rep_piece = row[rep * n2 : (rep + 1) * n2]
-                    gam_piece = row[gamma * n2 : (gamma + 1) * n2]
+                for row in block.srows:
+                    rep_piece = [row.get(rep * n2 + t, zero) for t in range(n2)]
+                    gam_piece = [row.get(gamma * n2 + t, zero) for t in range(n2)]
                     if ratio is None:
                         for t in range(n2):
                             if rep_piece[t]:
@@ -459,13 +455,8 @@ def _coset_indicator_span(amb: Ambient, classes) -> SubspaceBasis:
     n = amb.n
     n2 = n * n
     block = amb.gset.size * n2
-    vectors = []
-    for cls in classes:
-        for t in range(n2):
-            vec = [amb.field.zero] * block
-            for gamma in cls:
-                vec[gamma * n2 + t] = amb.field.one
-            vectors.append(vec)
+    one = amb.field.one
+    vectors = [{gamma * n2 + t: one for gamma in cls} for cls in classes for t in range(n2)]
     return SubspaceBasis.from_vectors(block, vectors)
 
 
@@ -570,13 +561,13 @@ def theta_bridge(amb: Ambient, theta_fn):
                 continue
             row = list(v) + list(w)
             added = builder.add(row)
-            if added is not None and not any(added[: N * N]):
+            if added is not None and min(added) >= N * N:
                 raise ClassifyError(
                     "operator map is ill defined: dependent evaluations with "
                     "independent images"
                 )
     basis_rows = builder.basis()
-    if len(basis_rows.rows) != N * N:
+    if basis_rows.dim != N * N:
         raise ClassifyError("evaluations do not span the operator space")
     # theta(x) = -(image part of the residual of [x | 0])
     cols = []
@@ -585,7 +576,7 @@ def theta_bridge(amb: Ambient, theta_fn):
         probe = [zero] * (2 * N * N)
         probe[t] = amb.field.one
         residual = basis_rows.reduce(probe)
-        cols.append([-c for c in residual[N * N :]])
+        cols.append([-residual.get(N * N + s, zero) for s in range(N * N)])
     theta_mat = Mat(cols).transpose()
     report = _theta_checks(amb, theta_mat)
     if not report["multiplicative"] or not report["action_invariant"]:

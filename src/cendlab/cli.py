@@ -47,6 +47,7 @@ from .workbench import (
     NotTInvariantError,
     certificate_defect,
     evaluate,
+    evaluation_points,
     ideal_shape,
     is_essential,
     is_irreducible,
@@ -245,12 +246,7 @@ def run_wn(job, report):
         basis.dim == N * N,
         {"dim": basis.dim, "expect": N * N},
     )
-    ops = [
-        evaluate(e, z)
-        for e in C.basis_elems()
-        for z in amb.group.elements()
-    ]
-    ops = [op for op in ops if not op.is_zero()]
+    ops = [evaluate(e, z) for e in C.basis_elems() for z in evaluation_points(e)]
     seeds = [module_unit(amb, w, i) for w in amb.gset.points() for i in range(amb.n)]
     closures_full = all(c.dim == N for c in module_closure(ops, seeds, N))
     _check(report, "wn.vector-closure", closures_full)

@@ -20,7 +20,7 @@ import random
 from .fields import QQ
 from .groups import FiniteGroup, GSet, regular_gset
 from .hopf import AElem, HElem, basis_a, basis_h, coaction, left_shift
-from .linalg import Mat, SubspaceBasis
+from .linalg import Mat, SubspaceBasis, dense, dense_blocks, sparse
 
 
 class ConformalError(ValueError):
@@ -142,28 +142,32 @@ class DiffElem:
     def vector(self):
         """Dense coefficient vector in the canonical (g, w, i, j) order."""
         amb = self.ambient
-        zero = amb.field.zero
-        vec = [zero] * amb.dim
-        n = amb.n
+        return dense(self.sparse_vector(), amb.dim, amb.field.zero)
+
+    def sparse_vector(self):
+        """The nonzero coefficients as a map from canonical index to entry."""
+        out = {}
         for (g, w), mat in self.comps.items():
-            base = amb.index(g, w, 0, 0)
-            flat = mat.flatten()
-            for t in range(n * n):
-                if flat[t]:
-                    vec[base + t] = flat[t]
-        return vec
+            base = self.ambient.index(g, w, 0, 0)
+            for t, a in enumerate(mat.flatten()):
+                if a:
+                    out[base + t] = a
+        return out
 
     @classmethod
     def from_vector(cls, ambient: Ambient, vec) -> "DiffElem":
+        return cls.from_sparse(ambient, sparse(vec))
+
+    @classmethod
+    def from_sparse(cls, ambient: Ambient, vec) -> "DiffElem":
+        """The element with the coefficients of a sparse map index -> entry;
+        its components come in (g, w) order."""
         n = ambient.n
-        comps = {}
-        for g in ambient.group.elements():
-            for w in ambient.gset.points():
-                base = ambient.index(g, w, 0, 0)
-                block = vec[base : base + n * n]
-                if any(block):
-                    comps[(g, w)] = Mat.from_flat(list(block), n, n)
-        return cls(ambient, comps)
+        blocks = dense_blocks(vec, n * n, ambient.field.zero)
+        size = ambient.gset.size
+        return cls(
+            ambient, {divmod(b, size): Mat.from_flat(blocks[b], n, n) for b in sorted(blocks)}
+        )
 
     def __repr__(self):
         terms = []
@@ -269,20 +273,14 @@ class SubSpan:
     @classmethod
     def from_elems(cls, ambient: Ambient, elems) -> "SubSpan":
         return cls(
-            ambient, SubspaceBasis.from_vectors(ambient.dim, [e.vector() for e in elems])
+            ambient, SubspaceBasis.from_vectors(ambient.dim, [e.sparse_vector() for e in elems])
         )
 
     @classmethod
     def full(cls, ambient: Ambient) -> "SubSpan":
-        rows = []
         one = ambient.field.one
-        zero = ambient.field.zero
         d = ambient.dim
-        for k in range(d):
-            row = [zero] * d
-            row[k] = one
-            rows.append(row)
-        return cls(ambient, SubspaceBasis(d, rows, list(range(d))))
+        return cls(ambient, SubspaceBasis(d, [{k: one} for k in range(d)], range(d)))
 
     @property
     def dim(self) -> int:
@@ -294,15 +292,15 @@ class SubSpan:
     def contains(self, elem: DiffElem) -> bool:
         if self.is_full():
             return True
-        return self.basis.contains(elem.vector())
+        return self.basis.contains(elem.sparse_vector())
 
     def contains_span(self, other: "SubSpan") -> bool:
         if self.is_full():
             return True
-        return all(self.basis.contains(r) for r in other.basis.rows)
+        return self.basis.contains_basis(other.basis)
 
     def basis_elems(self):
-        return [DiffElem.from_vector(self.ambient, row) for row in self.basis.rows]
+        return [DiffElem.from_sparse(self.ambient, row) for row in self.basis.srows]
 
     def __eq__(self, other):
         return (

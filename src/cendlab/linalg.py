@@ -1,10 +1,16 @@
-"""Exact dense linear algebra over the active field.
+"""Exact sparse linear algebra over the active field.
 
-Everything here is tolerance-free: subspaces are kept in reduced
+Everything here is tolerance-free.  Vectors are sparse maps from column
+to nonzero entry (dense sequences are accepted and converted), since the
+spans of the package are almost all zeros.  Subspaces are kept in reduced
 row-echelon form (pivots 1, pivot columns cleared, pivot columns strictly
 increasing), so two equal subspaces have identical representations and
-``==`` decides subspace equality.  Inner loops skip exact zeros, which is
-what makes the sparse span closures elsewhere in the package cheap.
+``==`` decides subspace equality.
+
+One elimination routine, ``_eliminate`` with ``_insert``, serves
+``EchelonBuilder``, ``SubspaceBasis``, ``rref``, ``nullspace`` and the
+rank, inverse and determinant of ``Mat``, which stays a small dense matrix
+for operators and n-by-n blocks.
 """
 
 from __future__ import annotations
@@ -131,129 +137,192 @@ class Mat:
         return not any(any(r) for r in self.rows)
 
     def det(self):
-        """Exact determinant by Gaussian elimination with row-swap sign."""
+        """Exact determinant.  Each row is reduced against the echelon rows
+        of the rows before it, which leaves the determinant alone; the
+        residual rows, in the order of their pivot columns, form a triangular
+        matrix, so the determinant is the product of their leading entries
+        times the sign of that order."""
         if self.nrows != self.ncols:
             raise LinAlgError("determinant of a non-square matrix")
-        n = self.nrows
-        rows = [list(r) for r in self.rows]
-        sign_flip = False
+        index = {}
+        order = []
         det = None
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if rows[r][col]:
-                    piv = r
-                    break
-            if piv is None:
+        for row in self.rows:
+            vec = _eliminate(index, sparse(row))
+            if not vec:
                 return self._zero_entry()
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                sign_flip = not sign_flip
-            p = rows[col][col]
-            det = p if det is None else det * p
-            for r in range(col + 1, n):
-                c = rows[r][col]
-                if not c:
-                    continue
-                f = c / p
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-        return -det if sign_flip else det
+            piv = min(vec)
+            det = vec[piv] if det is None else det * vec[piv]
+            order.append(piv)
+            _insert(index, vec)
+        inversions = sum(1 for i, p in enumerate(order) for q in order[i + 1 :] if p > q)
+        return -det if inversions % 2 else det
 
     def inverse(self):
         if self.nrows != self.ncols:
             raise LinAlgError("inverse of a non-square matrix")
         n = self.nrows
-        one = None
-        for r in self.rows:
-            for a in r:
-                if a:
-                    one = a / a
-                    break
-            if one is not None:
-                break
-        if one is None:
+        a = next((a for r in self.rows for a in r if a), None)
+        if a is None:
+            raise LinAlgError("matrix is singular")
+        one = a / a
+        aug = []
+        for i, r in enumerate(self.rows):
+            vec = sparse(r)
+            vec[n + i] = one
+            aug.append(vec)
+        rows, pivots = _rref_rows(aug)
+        if pivots != list(range(n)):
             raise LinAlgError("matrix is singular")
         zero = one - one
-        aug = [
-            list(r) + [one if i == j else zero for j in range(n)]
-            for i, r in enumerate(self.rows)
-        ]
-        rows, pivots = _rref_rows(aug)
-        if len(pivots) < n or pivots[:n] != list(range(n)):
-            raise LinAlgError("matrix is singular")
-        return Mat([r[n:] for r in rows[:n]])
+        return Mat([[row.get(n + j, zero) for j in range(n)] for row in rows])
 
     def rank(self):
-        _, pivots = _rref_rows([list(r) for r in self.rows])
-        return len(pivots)
+        return len(_rref_rows(self.rows)[1])
 
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols})"
 
 
+def sparse(vec):
+    """The nonzero entries of a vector as a new map column -> entry; the
+    vector may be a dense sequence or such a map."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return {j: a for j, a in items if a}
+
+
+def dense(vec, length, zero):
+    """The sparse vector ``vec`` as a dense list of the given length."""
+    out = [zero] * length
+    for j, a in vec.items():
+        out[j] = a
+    return out
+
+
+def dense_blocks(vec, size, zero):
+    """A sparse vector cut into blocks of ``size`` coordinates: a map from
+    each block that holds a nonzero entry to that block as a dense list."""
+    blocks = {}
+    for k, a in vec.items():
+        b, t = divmod(k, size)
+        flat = blocks.get(b)
+        if flat is None:
+            flat = blocks[b] = [zero] * size
+        flat[t] = a
+    return blocks
+
+
 def sparse_apply(mat: Mat):
-    """``mat.apply`` as a function that visits only the nonzero entries of
-    each row, which it lists once: the cheap form for many products with
-    one sparse matrix.  It gives the values ``mat.apply`` gives."""
-    zero = mat._zero_entry()
-    rows = [[(j, a) for j, a in enumerate(row) if a] for row in mat.rows]
+    """``mat.apply`` on sparse vectors: a function from a sparse map to the
+    sparse map of the product.  The nonzero entries of each column are
+    listed once, so a product costs the nonzeros it meets: the cheap form
+    for many products with one sparse matrix."""
+    cols = [{} for _ in range(mat.ncols)]
+    for i, row in enumerate(mat.rows):
+        for j, a in enumerate(row):
+            if a:
+                cols[j][i] = a
 
-    def apply(vec):
-        out = []
-        for row in rows:
-            acc = None
-            for j, a in row:
-                v = vec[j]
-                if v:
-                    term = a * v
-                    acc = term if acc is None else acc + term
-            out.append(zero if acc is None else acc)
-        return out
-
-    return apply
+    return lambda vec: combination(vec, cols)
 
 
-def _rref_rows(rows):
-    """In-place reduced row echelon form; returns (nonzero rows, pivot cols)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][col]
-        if p != 1:
-            rows[r] = [a / p for a in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            c = rows[i][col]
-            if c:
-                rows[i] = [a - c * b for a, b in zip(rows[i], prow)]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
+def combination(coeffs, vectors):
+    """The sum of c * vectors[i] over the entries i -> c of the sparse map
+    ``coeffs``, as a sparse map; the vectors are sparse maps."""
+    out = {}
+    for i, c in coeffs.items():
+        for j, a in vectors[i].items():
+            acc = out.get(j)
+            out[j] = a * c if acc is None else acc + a * c
+    return {j: a for j, a in out.items() if a}
+
+
+def _subtract(vec, c, row):
+    """vec -= c * row, in place, on sparse maps; entries that cancel are
+    dropped."""
+    for j, b in row.items():
+        a = vec.get(j)
+        if a is None:
+            vec[j] = -(c * b)
+        else:
+            a = a - c * b
+            if a:
+                vec[j] = a
+            else:
+                del vec[j]
+
+
+# The one elimination routine.  ``index`` maps each pivot column to its
+# row of a reduced row echelon form: a sparse map with entry 1 at the
+# pivot and no entry at any other pivot.  ``_eliminate`` reduces a vector
+# against it and ``_insert`` adds a reduced vector as a new row; every
+# elimination of this module, incremental or not, is these two steps.
+
+
+def _eliminate(index, vec):
+    """Reduce the sparse vector ``vec`` in place against the rows of
+    ``index`` and return it.  Only the entries of vec at pivots are
+    visited: each row is zero at every other pivot, so subtracting it never
+    changes vec there, and the coefficients can be read off at the start."""
+    if len(index) < len(vec):
+        hits = [(p, vec[p]) for p in index if p in vec]
+    else:
+        hits = [(j, c) for j, c in vec.items() if j in index]
+    for piv, c in hits:
+        _subtract(vec, c, index[piv])
+    return vec
+
+
+def _insert(index, vec):
+    """Add the reduced nonzero sparse vector ``vec`` to ``index`` as the row
+    of its leading column: scale it by the inverse of its leading entry,
+    taken once, and clear that column from the other rows.  Rows are
+    replaced, never changed in place, so a row handed out stays valid.
+    Returns the new row."""
+    piv = min(vec)
+    p = vec[piv]
+    if p != 1:
+        inv = 1 / p
+        vec = {j: a * inv for j, a in vec.items()}
+    for other, row in index.items():
+        c = row.get(piv)
+        if c is not None:
+            row = dict(row)
+            _subtract(row, c, vec)
+            index[other] = row
+    index[piv] = vec
+    return vec
+
+
+def _rref_rows(vectors):
+    """Reduced row echelon form of the span of the vectors (dense or
+    sparse): (rows as sparse maps, pivot columns), in pivot order."""
+    index = {}
+    for vec in vectors:
+        vec = _eliminate(index, sparse(vec))
+        if vec:
+            _insert(index, vec)
+    pivots = sorted(index)
+    return [index[p] for p in pivots], pivots
 
 
 class SubspaceBasis:
-    """Canonical subspace of k^N: nonzero RREF rows with increasing pivots."""
+    """Canonical subspace of k^N: nonzero RREF rows with increasing pivots.
 
-    __slots__ = ("ambient", "rows", "pivots")
+    ``srows`` holds the rows as sparse maps column -> nonzero entry and
+    ``index`` maps each pivot to its row; ``rows`` gives them as dense
+    tuples, built on first use, for callers that print or slice them.
+    Equality compares the canonical rows, so it decides subspace equality.
+    """
 
-    def __init__(self, ambient, rows, pivots):
+    __slots__ = ("ambient", "srows", "pivots", "index", "_dense")
+
+    def __init__(self, ambient, srows, pivots):
         self.ambient = ambient
-        self.rows = tuple(tuple(r) for r in rows)
+        self.srows = tuple(srows)
         self.pivots = tuple(pivots)
+        self.index = dict(zip(self.pivots, self.srows))
+        self._dense = None
 
     @classmethod
     def from_vectors(cls, ambient, vectors):
@@ -264,109 +333,97 @@ class SubspaceBasis:
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.srows)
+
+    @property
+    def rows(self):
+        if self._dense is None:
+            self._dense = tuple(
+                tuple(dense(row, self.ambient, row[p] - row[p]))
+                for row, p in zip(self.srows, self.pivots)
+            )
+        return self._dense
 
     def reduce(self, vec):
-        """Residual of vec after elimination against the basis rows; shared
-        with ``EchelonBuilder``, whose rows and pivots have the same form."""
-        vec = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            c = vec[piv]
-            if c:
-                for j, b in enumerate(row):
-                    if b:
-                        vec[j] = vec[j] - c * b
-        return vec
+        """Residual of vec (dense or sparse) after elimination against the
+        basis rows, as a sparse map; shared with ``EchelonBuilder``, whose
+        ``index`` has the same form."""
+        return _eliminate(self.index, sparse(vec))
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        return not self.reduce(vec)
 
     def contains_basis(self, other: "SubspaceBasis") -> bool:
-        return all(self.contains(r) for r in other.rows)
+        return all(self.contains(r) for r in other.srows)
 
     def __eq__(self, other):
         return (
             isinstance(other, SubspaceBasis)
             and self.ambient == other.ambient
-            and self.rows == other.rows
+            and self.srows == other.srows
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.rows))
+        # equal subspaces have equal pivots; the rows decide the rest
+        return hash((self.ambient, self.pivots))
 
     def __repr__(self):
         return f"SubspaceBasis(dim {self.dim} in k^{self.ambient})"
 
 
 class EchelonBuilder:
-    """Incrementally maintained RREF basis; the hot path of every closure."""
+    """Incrementally maintained RREF basis, kept as ``index``, a map from
+    pivot to sparse row; the hot path of every closure."""
 
     def __init__(self, ambient):
         self.ambient = ambient
-        self.rows = []
-        self.pivots = []
+        self.index = {}
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.index)
 
     reduce = SubspaceBasis.reduce
     contains = SubspaceBasis.contains
 
     def add(self, vec):
-        """Insert vec; returns the new canonical row, or None if dependent."""
-        if len(vec) != self.ambient:
+        """Insert vec, a dense sequence or a sparse map; returns the new
+        canonical row as a sparse map, or None if vec is dependent."""
+        if not isinstance(vec, dict) and len(vec) != self.ambient:
             raise LinAlgError(f"vector of length {len(vec)} in ambient {self.ambient}")
         vec = self.reduce(vec)
-        piv = None
-        for j, a in enumerate(vec):
-            if a:
-                piv = j
-                break
-        if piv is None:
+        if not vec:
             return None
-        p = vec[piv]
-        if p != 1:
-            vec = [a / p for a in vec]
-        for i, row in enumerate(self.rows):
-            c = row[piv]
-            if c:
-                self.rows[i] = [a - c * b for a, b in zip(row, vec)]
-        idx = 0
-        while idx < len(self.pivots) and self.pivots[idx] < piv:
-            idx += 1
-        self.rows.insert(idx, vec)
-        self.pivots.insert(idx, piv)
-        return vec
+        return _insert(self.index, vec)
 
     def basis(self) -> SubspaceBasis:
-        return SubspaceBasis(self.ambient, self.rows, self.pivots)
+        pivots = sorted(self.index)
+        return SubspaceBasis(self.ambient, [self.index[p] for p in pivots], pivots)
 
 
 def rref(mat: Mat):
     """Canonical row-space basis of a matrix; returns (SubspaceBasis, rank)."""
-    rows, pivots = _rref_rows([list(r) for r in mat.rows])
-    basis = SubspaceBasis(mat.ncols, rows, pivots)
-    return basis, len(pivots)
+    rows, pivots = _rref_rows(mat.rows)
+    return SubspaceBasis(mat.ncols, rows, pivots), len(pivots)
 
 
 def nullspace(mat: Mat, field=QQ) -> SubspaceBasis:
     """Canonical basis of {x : mat @ x = 0}."""
-    rows, pivots = _rref_rows([list(r) for r in mat.rows])
-    n = mat.ncols
+    return sparse_nullspace(mat.ncols, mat.rows, field.one)
+
+
+def sparse_nullspace(ncols, vectors, one) -> SubspaceBasis:
+    """Canonical basis of the x in k^ncols orthogonal to every given vector
+    (dense or sparse): the null space of the matrix with those rows.  Each
+    free column f gives the vector with 1 at f and -row[f] at each pivot."""
+    rows, pivots = _rref_rows(vectors)
     pivset = set(pivots)
-    free = [j for j in range(n) if j not in pivset]
-    vectors = []
-    zero, one = field.zero, field.one
-    for f in free:
-        v = [zero] * n
-        v[f] = one
-        for row, piv in zip(rows, pivots):
-            c = row[f]
-            if c:
-                v[piv] = -c
-        vectors.append(v)
-    return SubspaceBasis.from_vectors(n, vectors)
+    free = {f: {f: one} for f in range(ncols) if f not in pivset}
+    for row, piv in zip(rows, pivots):
+        for f, c in row.items():
+            if f != piv:
+                free[f][piv] = -c
+    return SubspaceBasis.from_vectors(ncols, free.values())
 
 
 def span_closure(ambient, seeds, unary_steps=(), binary_steps=()) -> SubspaceBasis:
@@ -374,21 +431,27 @@ def span_closure(ambient, seeds, unary_steps=(), binary_steps=()) -> SubspaceBas
 
     Steps must be linear in each vector argument, so closing over basis
     representatives suffices; terminates since the dimension strictly grows
-    each round and the ambient space is finite-dimensional.
+    each round and the ambient space is finite-dimensional.  Steps take
+    dense lists and return dense sequences or sparse maps.
     """
     builder = EchelonBuilder(ambient)
+
+    def as_list(row):
+        p = min(row)
+        return dense(row, ambient, row[p] - row[p])
+
     new_rows = []
     for v in seeds:
         added = builder.add(v)
         if added is not None:
-            new_rows.append(added)
+            new_rows.append(as_list(added))
     while new_rows:
         produced = []
         for v in new_rows:
             for step in unary_steps:
                 produced.append(step(v))
         if binary_steps:
-            current = list(builder.rows)
+            current = [as_list(builder.index[p]) for p in sorted(builder.index)]
             for step in binary_steps:
                 for v in new_rows:
                     for w in current:
@@ -398,7 +461,7 @@ def span_closure(ambient, seeds, unary_steps=(), binary_steps=()) -> SubspaceBas
         for w in produced:
             added = builder.add(w)
             if added is not None:
-                new_rows.append(added)
+                new_rows.append(as_list(added))
     return builder.basis()
 
 
@@ -407,26 +470,26 @@ def kernel_partition(basis: SubspaceBasis, block_count: int, block_size: int, fi
 
     Blocks i and j land in one class iff exactly the same combinations of
     the basis rows vanish on block i and on block j; classes are returned
-    in order of their smallest block index.
+    in order of their smallest block index.  A block no row touches has
+    the whole space as its kernel, and only such blocks do, so it is
+    classed without an elimination.
     """
     if basis.ambient != block_count * block_size:
         raise LinAlgError("ambient does not factor into the given blocks")
     if basis.dim == 0:
         return [list(range(block_count))] if block_count else []
-    kernels = []
-    for blk in range(block_count):
-        lo = blk * block_size
-        proj = Mat([row[lo : lo + block_size] for row in basis.rows])
-        ker = nullspace(proj.transpose(), field)
-        kernels.append(ker.rows)
+    # the coordinate functionals of each block, as sparse maps over the rows
+    functionals = {}
+    for i, row in enumerate(basis.srows):
+        for c, a in row.items():
+            blk, t = divmod(c, block_size)
+            functionals.setdefault(blk, {}).setdefault(t, {})[i] = a
     classes = {}
-    order = []
-    for blk, key in enumerate(kernels):
-        if key not in classes:
-            classes[key] = []
-            order.append(key)
-        classes[key].append(blk)
-    return [classes[key] for key in order]
+    for blk in range(block_count):
+        funcs = functionals.get(blk)
+        key = None if funcs is None else sparse_nullspace(basis.dim, funcs.values(), field.one)
+        classes.setdefault(key, []).append(blk)
+    return list(classes.values())
 
 
 def matrix_units(n, field=QQ):

@@ -22,7 +22,16 @@ from __future__ import annotations
 from .conformal import Ambient, DiffElem, SubSpan, subalgebra_closure_witness
 from .groups import orbits
 from .hopf import AElem, HElem
-from .linalg import EchelonBuilder, Mat, SubspaceBasis, nullspace, span_closure, sparse_apply
+from .linalg import (
+    EchelonBuilder,
+    Mat,
+    SubspaceBasis,
+    dense_blocks,
+    nullspace,
+    span_closure,
+    sparse_apply,
+    sparse_nullspace,
+)
 
 
 class WorkbenchError(ValueError):
@@ -78,24 +87,40 @@ def left_shift_op(amb: Ambient, z: int) -> Mat:
 
 def evaluate(x: DiffElem, z: int) -> Mat:
     """The operator x(z); linear in x, supported per component at z = g^-1."""
+    N = x.ambient.module_dim
+    zero = x.ambient.field.zero
+    rows = [[zero] * N for _ in range(N)]
+    for k, a in _evaluation_entries(x, z).items():
+        rows[k // N][k % N] = a
+    return Mat(rows)
+
+
+def _evaluation_entries(x: DiffElem, z: int):
+    """The nonzero entries of x(z) as a sparse map from row * N + column.
+    A component (g, w) puts its matrix at row block w and column block
+    z.w when g = z^-1, so no two components meet at one entry."""
     amb = x.ambient
     n = amb.n
-    zero = amb.field.zero
     N = amb.module_dim
-    rows = [[zero] * N for _ in range(N)]
     zinv = amb.group.inv(z)
+    out = {}
     for (g, w), mat in x.comps.items():
         if g != zinv:
             continue
-        col_block = amb.gset.act(z, w)
-        for i in range(n):
-            row = rows[w * n + i]
-            mrow = mat.rows[i]
-            for j in range(n):
-                if mrow[j]:
-                    col = col_block * n + j
-                    row[col] = row[col] + mrow[j]
-    return Mat(rows)
+        col_base = amb.gset.act(z, w) * n
+        for i, mrow in enumerate(mat.rows):
+            row_base = (w * n + i) * N + col_base
+            for j, a in enumerate(mrow):
+                if a:
+                    out[row_base + j] = a
+    return out
+
+
+def evaluation_points(x: DiffElem):
+    """The z with x(z) nonzero, in group order: the inverses of the first
+    slots of x's components.  Every other evaluation of x is zero."""
+    inv = x.ambient.group.inv
+    return sorted({inv(g) for g, _w in x.comps})
 
 
 class ConfOperator:
@@ -257,10 +282,9 @@ def wn_span(C: SubSpan, raw: bool = False) -> SubspaceBasis:
     """
     amb = C.ambient
     N = amb.module_dim
-    vectors = []
-    for e in C.basis_elems():
-        for z in amb.group.elements():
-            vectors.append(evaluate(e, z).flatten())
+    vectors = [
+        _evaluation_entries(e, z) for e in C.basis_elems() for z in evaluation_points(e)
+    ]
     if raw:
         return _composition_closure(N, vectors)
     witness = subalgebra_closure_witness(C)
@@ -301,11 +325,17 @@ def _composition_closure(N, seeds) -> SubspaceBasis:
 
 def module_closure(ops, seeds, N):
     """For each seed in turn, the smallest subspace of M containing it and
-    invariant under ops.  Each operator is applied through its nonzero
-    entries, listed once for all seeds."""
+    invariant under ops.  Vectors stay sparse maps, and each operator is
+    applied through the nonzero entries of its columns, listed once for
+    all seeds; an image that is zero is not inserted."""
     steps = [sparse_apply(op) for op in ops]
     for seed in seeds:
-        yield span_closure(N, [seed], unary_steps=steps)
+        builder = EchelonBuilder(N)
+        work = [seed]
+        while work:
+            added = [row for row in map(builder.add, work) if row is not None]
+            work = [image for v in added for step in steps if (image := step(v))]
+        yield builder.basis()
 
 
 def centralizer(ops, N, field) -> SubspaceBasis:
@@ -369,41 +399,49 @@ def _first_slot_components(C: SubSpan):
     A (x) M_n coordinates.  They reassemble the span iff it is homogeneous."""
     amb = C.ambient
     block = amb.gset.size * amb.n * amb.n
-    components = {}
-    for g in amb.group.elements():
-        base = amb.index(g, 0, 0, 0)
-        vectors = []
-        for row in C.basis.rows:
-            piece = row[base : base + block]
-            if any(piece):
-                vectors.append(list(piece))
-        components[g] = SubspaceBasis.from_vectors(block, vectors)
-    return components
+    pieces = {g: [] for g in amb.group.elements()}
+    for row in C.basis.srows:
+        split = {}
+        for k, a in row.items():
+            g, c = divmod(k, block)
+            split.setdefault(g, {})[c] = a
+        for g, piece in split.items():
+            pieces[g].append(piece)
+    return {g: SubspaceBasis.from_vectors(block, vectors) for g, vectors in pieces.items()}
 
 
 def _graded_product(amb: Ambient, x, y, shift):
-    """Pointwise product of x with the shift of y inside A (x) M_n."""
+    """Pointwise product of x with the shift of y inside A (x) M_n, on
+    point-block maps: only the points where x and the shifted y are both
+    nonzero are multiplied.  Returns the product as a sparse vector."""
     n = amb.n
     n2 = n * n
-    zero = amb.field.zero
-    out = [zero] * len(x)
-    for gamma in amb.gset.points():
-        xm = x[gamma * n2 : (gamma + 1) * n2]
-        if not any(xm):
+    act = amb.gset.act
+    out = {}
+    for gamma, xm in x.items():
+        ym = y.get(act(shift, gamma))
+        if ym is None:
             continue
-        src = amb.gset.act(shift, gamma)
-        ym = y[src * n2 : (src + 1) * n2]
-        if not any(ym):
-            continue
-        prod = Mat.from_flat(list(xm), n, n) * Mat.from_flat(list(ym), n, n)
-        out[gamma * n2 : (gamma + 1) * n2] = prod.flatten()
+        base = gamma * n2
+        for i in range(n):
+            for j in range(n):
+                acc = None
+                for k in range(n):
+                    a = xm[i * n + k]
+                    if a:
+                        b = ym[k * n + j]
+                        if b:
+                            acc = a * b if acc is None else acc + a * b
+                if acc:
+                    out[base + i * n + j] = acc
     return out
 
 
-def _product_rule(amb: Ambient, components):
-    """Check S_g . (shift of S_h) inside S_{gh} pair by pair.  Returns the
-    report, whether each pair was verified on a nonzero product or held
-    vacuously, and None; or the partial report and the first failure."""
+def _product_rule(amb: Ambient, components, blocks):
+    """Check S_g . (shift of S_h) inside S_{gh} pair by pair, on the
+    point-block maps of the rows.  Returns the report, whether each pair
+    was verified on a nonzero product or held vacuously, and None; or the
+    partial report and the first failure."""
     group = amb.group
     report = {}
     for g in group.elements():
@@ -411,10 +449,10 @@ def _product_rule(amb: Ambient, components):
         for h in group.elements():
             target = components[group.mul(g, h)]
             status = "vacuous"
-            for x in components[g].rows:
-                for y in components[h].rows:
+            for x in blocks[g]:
+                for y in blocks[h]:
                     prod = _graded_product(amb, x, y, ginv)
-                    if any(prod):
+                    if prod:
                         if not target.contains(prod):
                             return report, f"grading product rule fails at (g={g}, h={h})"
                         status = "verified"
@@ -442,10 +480,18 @@ def grading(C: SubSpan) -> GradedDecomposition:
     the (g, w) block.  ``enrich`` spans exactly these block projections, so
     ``enriched_dim``, their sum, is the dimension of the enrichment for any
     span, and the enrichment is full iff every rank is n^2.
+
+    Every row of a component is read as a map from its nonzero point
+    blocks to n x n blocks, so the products and the ranks visit only those.
     """
     amb = C.ambient
     n2 = amb.n * amb.n
+    zero = amb.field.zero
     decomp = GradedDecomposition(amb, _first_slot_components(C))
+    blocks = {
+        g: [dense_blocks(row, n2, zero) for row in comp.srows]
+        for g, comp in decomp.components.items()
+    }
     total = sum(comp.dim for comp in decomp.components.values())
     if total != C.dim:
         decomp.defect = (
@@ -453,12 +499,11 @@ def grading(C: SubSpan) -> GradedDecomposition:
             f"dimension {total} against span dimension {C.dim}"
         )
     else:
-        decomp.graded_report, decomp.defect = _product_rule(amb, decomp.components)
+        decomp.graded_report, decomp.defect = _product_rule(amb, decomp.components, blocks)
     decomp.ranks = {}
-    for g, comp in decomp.components.items():
+    for g, rows in blocks.items():
         for w in amb.gset.points():
-            rows = [row[w * n2 : (w + 1) * n2] for row in comp.rows]
-            decomp.ranks[(g, w)] = Mat(rows).rank()
+            decomp.ranks[(g, w)] = Mat([x[w] for x in rows if w in x]).rank()
     return decomp
 
 
@@ -474,18 +519,13 @@ def enrich(C: SubSpan) -> SubSpan:
     amb = C.ambient
     builder = EchelonBuilder(amb.dim)
     n2 = amb.n * amb.n
-    vsize = amb.gset.size
-    zero = amb.field.zero
-    for row in C.basis.rows:
+    for row in C.basis.srows:
         builder.add(row)
-        for g in amb.group.elements():
-            for w in amb.gset.points():
-                base = amb.index(g, w, 0, 0)
-                block = row[base : base + n2]
-                if any(block):
-                    vec = [zero] * amb.dim
-                    vec[base : base + n2] = block
-                    builder.add(vec)
+        blocks = {}
+        for k, a in row.items():
+            blocks.setdefault(k // n2, {})[k] = a
+        for b in sorted(blocks):
+            builder.add(blocks[b])
     return SubSpan(amb, builder.basis())
 
 
@@ -509,10 +549,8 @@ def _module_operators(C: SubSpan):
     amb = C.ambient
     named = [(f"Gamma_{w}", gamma_op(_point_fn(amb, w), amb)) for w in amb.gset.points()]
     for k, e in enumerate(C.basis_elems()):
-        for z in amb.group.elements():
-            op = evaluate(e, z)
-            if not op.is_zero():
-                named.append((f"the evaluation of basis element {k} at {z}", op))
+        for z in evaluation_points(e):
+            named.append((f"the evaluation of basis element {k} at {z}", evaluate(e, z)))
     return named
 
 
@@ -547,7 +585,7 @@ def certificate_defect(C: SubSpan, certificate: SubspaceBasis):
         return "certificate is all of M"
     for name, op in _module_operators(C):
         apply = sparse_apply(op)
-        for row in certificate.rows:
+        for row in certificate.srows:
             if not certificate.contains(apply(row)):
                 return f"certificate is not invariant under {name}"
     return None
@@ -642,9 +680,9 @@ def _ideal_closure(gens, side: str) -> SubSpan:
     for e in gens:
         if e.ambient != amb:
             raise WorkbenchError("mixed ambients in generators")
-        added = builder.add(e.vector())
+        added = builder.add(e.sparse_vector())
         if added is not None:
-            work.append(DiffElem.from_vector(amb, added))
+            work.append(DiffElem.from_sparse(amb, added))
     step = _right_step_products if side == "right" else _left_step_products
     while work:
         produced = []
@@ -653,9 +691,9 @@ def _ideal_closure(gens, side: str) -> SubSpan:
             produced.extend(step(amb, e))
         work = []
         for p in produced:
-            added = builder.add(p.vector())
+            added = builder.add(p.sparse_vector())
             if added is not None:
-                work.append(DiffElem.from_vector(amb, added))
+                work.append(DiffElem.from_sparse(amb, added))
     return SubSpan(amb, builder.basis())
 
 
@@ -689,23 +727,10 @@ def ideal_shape(B: SubSpan, side: str) -> SubspaceBasis:
     """
     if side not in ("left", "right"):
         raise WorkbenchError(f"side must be 'left' or 'right', not {side!r}")
-    amb = B.ambient
     span = fourier_span(B, inverse=True) if side == "left" else B
-    n2 = amb.n * amb.n
-    block = amb.gset.size * n2
-    projections = []
-    dims = 0
-    for g in amb.group.elements():
-        vectors = []
-        for row in span.basis.rows:
-            base = amb.index(g, 0, 0, 0)
-            piece = row[base : base + block]
-            if any(piece):
-                vectors.append(list(piece))
-        proj = SubspaceBasis.from_vectors(block, vectors)
-        projections.append(proj)
-        dims += proj.dim
+    projections = list(_first_slot_components(span).values())
     first = projections[0]
+    dims = sum(p.dim for p in projections)
     if any(p != first for p in projections[1:]) or dims != span.dim:
         raise IdealShapeError(
             f"span does not factor as H (x) B0 on the {side} side; "
@@ -719,39 +744,28 @@ def mn_a_left_ideal_closure(amb: Ambient, gens_vectors) -> SubspaceBasis:
     the basis T_w (x) e_ij (pointwise in the A slot)."""
     n = amb.n
     block = n * n
+    zero = amb.field.zero
     builder = EchelonBuilder(matrix_coeff_ambient_dim(amb))
-    work = []
-    for v in gens_vectors:
-        added = builder.add(list(v))
-        if added is not None:
-            work.append(added)
+    work = list(gens_vectors)
     while work:
         produced = []
-        for v in work:
-            for w in amb.gset.points():
-                base = w * block
-                piece = v[base : base + block]
-                if not any(piece):
-                    continue
-                m = Mat.from_flat(list(piece), n, n)
+        for v in map(builder.add, work):
+            if v is None:
+                continue
+            for w, piece in sorted(dense_blocks(v, block, zero).items()):
+                m = Mat.from_flat(piece, n, n)
                 for i in range(n):
                     for j in range(n):
-                        prod = Mat.unit(n, n, i, j, amb.field) * m
-                        if prod.is_zero():
-                            continue
-                        vec = [amb.field.zero] * builder.ambient
-                        vec[base : base + block] = prod.flatten()
-                        produced.append(vec)
-        work = []
-        for p in produced:
-            added = builder.add(p)
-            if added is not None:
-                work.append(added)
+                        prod = (Mat.unit(n, n, i, j, amb.field) * m).flatten()
+                        vec = {w * block + t: a for t, a in enumerate(prod) if a}
+                        if vec:
+                            produced.append(vec)
+        work = produced
     return builder.basis()
 
 
 def is_mn_a_left_ideal(amb: Ambient, basis: SubspaceBasis) -> bool:
-    return mn_a_left_ideal_closure(amb, basis.rows) == basis
+    return mn_a_left_ideal_closure(amb, basis.srows) == basis
 
 
 def right_annihilator(amb: Ambient, B0: SubspaceBasis) -> SubspaceBasis:
@@ -762,25 +776,17 @@ def right_annihilator(amb: Ambient, B0: SubspaceBasis) -> SubspaceBasis:
     D = matrix_coeff_ambient_dim(amb)
     dedupe = EchelonBuilder(D)
     zero = amb.field.zero
-    for b in B0.rows:
-        for w in amb.gset.points():
-            base = w * n * n
-            piece = b[base : base + n * n]
-            if not any(piece):
-                continue
-            m = Mat.from_flat(list(piece), n, n)
+    for b in B0.srows:
+        for w, piece in sorted(dense_blocks(b, n * n, zero).items()):
             for p in range(n):
                 for q in range(n):
-                    row = [zero] * D
+                    row = {}
                     for j in range(n):
-                        c = m.rows[p][j]
+                        c = piece[p * n + j]
                         if c:
                             row[_mn_a_index(amb, w, j, q)] = c
                     dedupe.add(row)
-    rows = [list(r) for r in dedupe.rows]
-    if not rows:
-        rows = [[zero] * D]
-    return nullspace(Mat(rows), amb.field)
+    return sparse_nullspace(D, dedupe.index.values(), amb.field.one)
 
 
 def is_essential(amb: Ambient, B0: SubspaceBasis) -> bool:
