@@ -550,17 +550,17 @@ def theta_bridge(amb: Ambient, theta_fn):
     builder = EchelonBuilder(2 * N * N)
     for b, im in zip(basis, images):
         for g in group.elements():
-            v = evaluate(b, g).flatten()
-            w = evaluate(im, g).flatten()
-            if not any(v):
-                if any(w):
+            v = evaluate(b, g).entries()
+            w = evaluate(im, g).entries()
+            if not v:
+                if w:
                     raise ClassifyError(
                         "operator map is ill defined: zero evaluation with "
                         "nonzero image"
                     )
                 continue
-            row = list(v) + list(w)
-            added = builder.add(row)
+            v.update((N * N + k, a) for k, a in w.items())
+            added = builder.add(v)
             if added is not None and min(added) >= N * N:
                 raise ClassifyError(
                     "operator map is ill defined: dependent evaluations with "
@@ -607,7 +607,7 @@ def _theta_checks(amb: Ambient, theta_mat: Mat) -> dict:
                 break
         if not multiplicative:
             break
-    gammas = [gamma_op(_point_fn(amb, w), amb) for w in amb.gset.points()]
+    gammas = [gamma_op(_point_fn(amb, w), amb).to_mat(field) for w in amb.gset.points()]
     action_ok = True
     group = amb.group
     for q in group.elements():

@@ -207,8 +207,11 @@ def run_phi(job, report):
     for a, b, g in pairs:
         prod = diff_product(a, b, g)
         not_invariant = None
+        # (a o_g b)(zg) = a(g) b(z): one set of block products serves the
+        # transport and the product law
+        law = op_product(family(a), family(b), g)
         try:
-            transported = phi(op_product(family(a), family(b), g))
+            transported = phi(law)
         except NotTInvariantError as exc:
             transported, not_invariant = None, exc.witness
         if transported != prod:
@@ -221,13 +224,8 @@ def run_phi(job, report):
             if not_invariant is not None:
                 transport_witness["not_invariant"] = not_invariant
             break
-        a_at_g = evaluate(a, g)
-        b_ops = family(b).ops
-        for z in group.elements():
-            if a_at_g * b_ops[z] != evaluate(prod, group.mul(z, g)):
-                ok_prodlaw = False
-                break
-        if not ok_prodlaw:
+        if any(law.at(z) != evaluate(prod, z) for z in group.elements()):
+            ok_prodlaw = False
             break
     _check(report, "phi.roundtrip", ok_round, witness)
     _check(report, "phi.transport", ok_transport, transport_witness)

@@ -10,7 +10,8 @@ increasing), so two equal subspaces have identical representations and
 One elimination routine, ``_eliminate`` with ``_insert``, serves
 ``EchelonBuilder``, ``SubspaceBasis``, ``rref``, ``nullspace`` and the
 rank, inverse and determinant of ``Mat``, which stays a small dense matrix
-for operators and n-by-n blocks.
+for n-by-n blocks.  Operators on the module are ``BlockOp``s: maps from
+(row block, column block) to their nonzero n-by-n ``Mat``.
 """
 
 from __future__ import annotations
@@ -212,18 +213,134 @@ def dense_blocks(vec, size, zero):
     return blocks
 
 
-def sparse_apply(mat: Mat):
-    """``mat.apply`` on sparse vectors: a function from a sparse map to the
-    sparse map of the product.  The nonzero entries of each column are
-    listed once, so a product costs the nonzeros it meets: the cheap form
-    for many products with one sparse matrix."""
-    cols = [{} for _ in range(mat.ncols)]
-    for i, row in enumerate(mat.rows):
-        for j, a in enumerate(row):
-            if a:
-                cols[j][i] = a
+class BlockOp:
+    """Immutable square operator on k^(m n), stored block-sparse.
 
-    return lambda vec: combination(vec, cols)
+    The coordinates fall into m blocks of n; ``blocks`` maps a row block to
+    a map from column block to the nonzero n x n ``Mat`` there.  Zero
+    blocks and empty row blocks are never stored, so equal operators have
+    equal maps.  Products, application and the zero test visit only the
+    stored blocks; ``to_mat`` builds the dense form for test oracles.
+    """
+
+    __slots__ = ("nblocks", "n", "blocks", "_columns")
+
+    def __init__(self, nblocks, n, blocks):
+        self.nblocks = nblocks
+        self.n = n
+        self.blocks = {}
+        for r, row in blocks.items():
+            row = {c: m for c, m in row.items() if not m.is_zero()}
+            if row:
+                self.blocks[r] = row
+        self._columns = None
+
+    @classmethod
+    def from_entries(cls, nblocks, n, entries):
+        """The operator with the given entries, a sparse map from
+        row * (m n) + column to entry."""
+        N = nblocks * n
+        flats = {}
+        for k, a in entries.items():
+            i, j = divmod(k, N)
+            key = (i // n, j // n)
+            flat = flats.get(key)
+            if flat is None:
+                flat = flats[key] = [a - a] * (n * n)
+            flat[(i % n) * n + j % n] = a
+        blocks = {}
+        for (r, c), flat in flats.items():
+            blocks.setdefault(r, {})[c] = Mat.from_flat(flat, n, n)
+        return cls(nblocks, n, blocks)
+
+    @classmethod
+    def from_mat(cls, mat: Mat, n):
+        """Cut a dense square matrix into n x n blocks."""
+        if mat.nrows != mat.ncols or mat.nrows % n:
+            raise LinAlgError(f"a {mat!r} does not cut into {n} x {n} blocks")
+        N = mat.ncols
+        entries = {i * N + j: a for i, row in enumerate(mat.rows) for j, a in enumerate(row) if a}
+        return cls.from_entries(N // n, n, entries)
+
+    @property
+    def nrows(self):
+        return self.nblocks * self.n
+
+    ncols = nrows
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, BlockOp)
+            and self.nblocks == other.nblocks
+            and self.n == other.n
+            and self.blocks == other.blocks
+        )
+
+    def __hash__(self):
+        return hash(frozenset((r, c, m) for r, row in self.blocks.items() for c, m in row.items()))
+
+    def __mul__(self, other):
+        if not isinstance(other, BlockOp):
+            return NotImplemented
+        if (self.nblocks, self.n) != (other.nblocks, other.n):
+            raise LinAlgError("block shape mismatch in product")
+        right = other.blocks
+        out = {}
+        for r, row in self.blocks.items():
+            acc = {}
+            for k, a in row.items():
+                for c, b in right.get(k, {}).items():
+                    s = acc.get(c)
+                    acc[c] = a * b if s is None else s + a * b
+            out[r] = acc
+        return BlockOp(self.nblocks, self.n, out)
+
+    def is_zero(self):
+        return not self.blocks
+
+    def entries(self):
+        """The nonzero entries as a sparse map from row * (m n) + column."""
+        n = self.n
+        N = self.nrows
+        out = {}
+        for r, row in self.blocks.items():
+            for c, m in row.items():
+                for i, mrow in enumerate(m.rows):
+                    base = (r * n + i) * N + c * n
+                    for j, a in enumerate(mrow):
+                        if a:
+                            out[base + j] = a
+        return out
+
+    def columns(self):
+        """The nonzero entries of each column, a map from column to a
+        sparse map row -> entry; listed once per operator."""
+        if self._columns is None:
+            N = self.nrows
+            cols = {}
+            for k, a in self.entries().items():
+                i, j = divmod(k, N)
+                cols.setdefault(j, {})[i] = a
+            self._columns = cols
+        return self._columns
+
+    def apply(self, vec):
+        """The operator times a column vector (dense or sparse), as a sparse
+        map; it costs the nonzero entries the vector meets."""
+        cols = self.columns()
+        return combination({j: c for j, c in sparse(vec).items() if j in cols}, cols)
+
+    def to_mat(self, field=QQ) -> Mat:
+        """The dense form, for test oracles."""
+        N = self.nrows
+        rows = [[field.zero] * N for _ in range(N)]
+        for k, a in self.entries().items():
+            rows[k // N][k % N] = a
+        return Mat(rows)
+
+    def __repr__(self):
+        count = sum(len(row) for row in self.blocks.values())
+        return f"BlockOp({count} of {self.nblocks}x{self.nblocks} blocks of size {self.n})"
 
 
 def combination(coeffs, vectors):

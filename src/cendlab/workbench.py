@@ -9,6 +9,16 @@ isomorphism and its inverse, the twist that straightens left ideals,
 one-sided ideal closures, essentiality of ideals, simplicity of the
 algebra, and the irreducibility decision with certificates.
 
+Operators on M are ``linalg.BlockOp``s: maps from (row block, column
+block) to their nonzero n x n matrices, one block per point of V.  A
+component T_g (x) T_w (x) m evaluates, at z = g^-1, to the single block m
+at (w, z.w), so evaluations, shifts and multiplication operators hold at
+most one block per row block.  ``op_product`` multiplies blocks,
+``check_Tinvariance`` scans block keys, ``phi`` reads the blocks back, and
+``module_closure`` and ``certificate_defect`` apply operators through a
+column index built from the blocks.  Dense N x N matrices (N = |V| n) are
+built only for the oracles of the tests.
+
 Closure and the enrichment of a span are decided on one route, ``grading``:
 first-slot components, the graded product rule and per-block ranks.  Both
 ``is_irreducible`` and ``classify.analyze_Se`` call it.  The closure witness
@@ -23,13 +33,14 @@ from .conformal import Ambient, DiffElem, SubSpan, subalgebra_closure_witness
 from .groups import orbits
 from .hopf import AElem, HElem
 from .linalg import (
+    BlockOp,
     EchelonBuilder,
     Mat,
     SubspaceBasis,
     dense_blocks,
     nullspace,
     span_closure,
-    sparse_apply,
+    sparse,
     sparse_nullspace,
 )
 
@@ -54,66 +65,36 @@ def module_unit(amb: Ambient, w: int, i: int):
     return vec
 
 
-def gamma_op(f, amb: Ambient) -> Mat:
+def gamma_op(f, amb: Ambient) -> BlockOp:
     """Multiplication operator u -> f u on M; f is a function on V (or on G
-    when V = G)."""
+    when V = G).  Its block at (w, w) is f(w) times the identity."""
     coeffs = f.coeffs if isinstance(f, (HElem, AElem)) else tuple(f)
     if len(coeffs) != amb.gset.size:
         raise WorkbenchError("function does not live on V")
-    n = amb.n
-    zero = amb.field.zero
-    N = amb.module_dim
-    rows = [[zero] * N for _ in range(N)]
-    for w, c in enumerate(coeffs):
-        if c:
-            for i in range(n):
-                rows[w * n + i][w * n + i] = c
-    return Mat(rows)
+    ident = Mat.identity(amb.n, amb.field)
+    blocks = {w: {w: ident.scale(c)} for w, c in enumerate(coeffs) if c}
+    return BlockOp(amb.gset.size, amb.n, blocks)
 
 
-def left_shift_op(amb: Ambient, z: int) -> Mat:
-    """The shift operator: T_v (x) e_j maps to T_{z^-1 . v} (x) e_j."""
-    n = amb.n
-    zero, one = amb.field.zero, amb.field.one
-    N = amb.module_dim
-    rows = [[zero] * N for _ in range(N)]
-    zinv = amb.group.inv(z)
-    for v in amb.gset.points():
-        target = amb.gset.act(zinv, v)
-        for j in range(n):
-            rows[target * n + j][v * n + j] = one
-    return Mat(rows)
+def left_shift_op(amb: Ambient, z: int) -> BlockOp:
+    """The shift operator: T_v (x) e_j maps to T_{z^-1 . v} (x) e_j, i.e.
+    the identity block at (w, z.w) for every w."""
+    ident = Mat.identity(amb.n, amb.field)
+    act = amb.gset.act
+    blocks = {w: {act(z, w): ident} for w in amb.gset.points()}
+    return BlockOp(amb.gset.size, amb.n, blocks)
 
 
-def evaluate(x: DiffElem, z: int) -> Mat:
-    """The operator x(z); linear in x, supported per component at z = g^-1."""
-    N = x.ambient.module_dim
-    zero = x.ambient.field.zero
-    rows = [[zero] * N for _ in range(N)]
-    for k, a in _evaluation_entries(x, z).items():
-        rows[k // N][k % N] = a
-    return Mat(rows)
-
-
-def _evaluation_entries(x: DiffElem, z: int):
-    """The nonzero entries of x(z) as a sparse map from row * N + column.
-    A component (g, w) puts its matrix at row block w and column block
-    z.w when g = z^-1, so no two components meet at one entry."""
+def evaluate(x: DiffElem, z: int) -> BlockOp:
+    """The operator x(z); linear in x.  A component (g, w) is supported at
+    z = g^-1, where it puts its matrix at the block (w, z.w); no two
+    components meet at one block.  This is the one evaluation routine:
+    sparse evaluation vectors are its ``entries``."""
     amb = x.ambient
-    n = amb.n
-    N = amb.module_dim
     zinv = amb.group.inv(z)
-    out = {}
-    for (g, w), mat in x.comps.items():
-        if g != zinv:
-            continue
-        col_base = amb.gset.act(z, w) * n
-        for i, mrow in enumerate(mat.rows):
-            row_base = (w * n + i) * N + col_base
-            for j, a in enumerate(mrow):
-                if a:
-                    out[row_base + j] = a
-    return out
+    act = amb.gset.act
+    blocks = {w: {act(z, w): mat} for (g, w), mat in x.comps.items() if g == zinv}
+    return BlockOp(amb.gset.size, amb.n, blocks)
 
 
 def evaluation_points(x: DiffElem):
@@ -124,7 +105,10 @@ def evaluation_points(x: DiffElem):
 
 
 class ConfOperator:
-    """A family z -> operator on M, stored as one matrix per group element."""
+    """A family z -> operator on M, one ``BlockOp`` per group element.
+
+    Dense N x N ``Mat``s are accepted too and cut into blocks here, once;
+    the blocks are the only storage."""
 
     __slots__ = ("ambient", "ops")
 
@@ -133,13 +117,16 @@ class ConfOperator:
         if len(ops) != ambient.group.order:
             raise WorkbenchError("need one operator per group element")
         N = ambient.module_dim
-        for op in ops:
-            if op.nrows != N or op.ncols != N:
-                raise WorkbenchError("operator has the wrong shape")
+        if any(op.nrows != N or op.ncols != N for op in ops):
+            raise WorkbenchError("operator has the wrong shape")
         self.ambient = ambient
-        self.ops = ops
+        self.ops = tuple(
+            BlockOp.from_mat(op, ambient.n) if isinstance(op, Mat) else op for op in ops
+        )
+        if any(op.n != ambient.n for op in self.ops):
+            raise WorkbenchError("operator has the wrong block size")
 
-    def at(self, z: int) -> Mat:
+    def at(self, z: int) -> BlockOp:
         return self.ops[z]
 
     def __eq__(self, other):
@@ -166,30 +153,25 @@ def check_Tinvariance(a: ConfOperator):
     function and every g; otherwise (False, {"g": g, "w": w}) for the first
     g in group order and the least point w whose indicator breaks the law.
 
-    Decided by a scan of the support.  On the indicator of w the law reads
-    a(g) Gamma_w = Gamma_{g^-1.w} a(g), where Gamma_w keeps the coordinates
-    at w.  An entry of a(g) in row block v and column block c survives on
-    the left iff c = w, and on the right iff v = g^-1.w, i.e. w = g.v.  So
-    the law holds at every w iff each nonzero entry of a(g) sits at
-    c = g.v, and a nonzero entry with c != g.v breaks it at exactly w = c
-    and w = g.v.  The least of min(c, g.v) over those entries is thus the
-    first failing w in point order, the witness a test of each w in turn
-    would report.
+    Decided by a scan of the block keys.  On the indicator of w the law
+    reads a(g) Gamma_w = Gamma_{g^-1.w} a(g), where Gamma_w keeps the
+    coordinates at w.  A block of a(g) at (v, c) survives on the left iff
+    c = w, and on the right iff v = g^-1.w, i.e. w = g.v.  So the law holds
+    at every w iff each nonzero block of a(g) sits at c = g.v, and a
+    nonzero block with c != g.v breaks it at exactly w = c and w = g.v.
+    The least of min(c, g.v) over those blocks is thus the first failing w
+    in point order, the witness a test of each w in turn would report.
     """
     amb = a.ambient
-    n = amb.n
     size = amb.gset.size
     act = amb.gset.act
     for g in amb.group.elements():
-        rows = a.at(g).rows
         least = size
-        for v in amb.gset.points():
+        for v, row in a.at(g).blocks.items():
             gv = act(g, v)
-            lo, hi = gv * n, gv * n + n
-            for row in rows[v * n : v * n + n]:
-                if any(row[:lo]) or any(row[hi:]):
-                    c = next(j for j, x in enumerate(row) if x and not lo <= j < hi)
-                    least = min(least, c // n, gv)
+            for c in row:
+                if c != gv:
+                    least = min(least, c, gv)
         if least < size:
             return False, {"g": g, "w": least}
     return True, None
@@ -203,25 +185,20 @@ def _point_fn(amb: Ambient, w: int):
 
 def phi(a: ConfOperator) -> DiffElem:
     """Tensor form of a translation-invariant family; errors with a witness
-    when the family is not translation invariant."""
+    when the family is not translation invariant.  The component (z^-1, w)
+    is the block (w, z.w) of a(z)."""
     ok, witness = check_Tinvariance(a)
     if not ok:
         raise NotTInvariantError(witness)
     amb = a.ambient
-    n = amb.n
+    act = amb.gset.act
     comps = {}
     for z in amb.group.elements():
-        op = a.at(z)
+        blocks = a.at(z).blocks
         first = amb.group.inv(z)
-        for w in amb.gset.points():
-            col_block = amb.gset.act(z, w)
-            entries = [
-                [op.rows[w * n + i][col_block * n + j] for j in range(n)]
-                for i in range(n)
-            ]
-            mat = Mat(entries)
-            if not mat.is_zero():
-                comps[(first, w)] = mat
+        for w in sorted(blocks):
+            # the check left one block in each row block w, at (w, z.w)
+            comps[(first, w)] = blocks[w][act(z, w)]
     return DiffElem(amb, comps)
 
 
@@ -231,14 +208,14 @@ def phi_inv(x: DiffElem) -> ConfOperator:
 
 
 def op_product(a: ConfOperator, b: ConfOperator, g: int) -> ConfOperator:
-    """(a o_g b)(z) = a(g) b(z g^-1)."""
+    """(a o_g b)(z) = a(g) b(z g^-1), as block products."""
     if a.ambient != b.ambient:
         raise WorkbenchError("ambient mismatch")
     amb = a.ambient
     group = amb.group
     ag = a.at(g)
-    ops = [ag * b.at(group.mul(z, group.inv(g))) for z in group.elements()]
-    return ConfOperator(amb, ops)
+    ginv = group.inv(g)
+    return ConfOperator(amb, [ag * b.at(group.mul(z, ginv)) for z in group.elements()])
 
 
 def fourier(x: DiffElem) -> DiffElem:
@@ -281,21 +258,15 @@ def wn_span(C: SubSpan, raw: bool = False) -> SubspaceBasis:
     closure of the generators instead.
     """
     amb = C.ambient
-    N = amb.module_dim
-    vectors = [
-        _evaluation_entries(e, z) for e in C.basis_elems() for z in evaluation_points(e)
-    ]
+    vectors = [evaluate(e, z).entries() for e in C.basis_elems() for z in evaluation_points(e)]
     if raw:
-        return _composition_closure(N, vectors)
+        return _composition_closure(amb, vectors)
     witness = subalgebra_closure_witness(C)
     if witness is not None:
         raise WorkbenchError(
             f"span is not closed under the products ({witness}); use raw=True"
         )
-    builder = EchelonBuilder(N * N)
-    for v in vectors:
-        builder.add(v)
-    return builder.basis()
+    return SubspaceBasis.from_vectors(amb.module_dim ** 2, vectors)
 
 
 def operator_algebra(C: SubSpan, include_gamma: bool = True) -> SubspaceBasis:
@@ -304,37 +275,44 @@ def operator_algebra(C: SubSpan, include_gamma: bool = True) -> SubspaceBasis:
     under composition.  This is the independent, operator-side route to the
     irreducibility decisions."""
     amb = C.ambient
-    N = amb.module_dim
-    seeds = [Mat.identity(N, amb.field).flatten()]
+    seeds = [gamma_op([amb.field.one] * amb.gset.size, amb).entries()]
     if include_gamma:
-        for w in amb.gset.points():
-            seeds.append(gamma_op(_point_fn(amb, w), amb).flatten())
-    for e in C.basis_elems():
-        for z in amb.group.elements():
-            seeds.append(evaluate(e, z).flatten())
-    return _composition_closure(N, seeds)
+        seeds += [gamma_op(_point_fn(amb, w), amb).entries() for w in amb.gset.points()]
+    seeds += [evaluate(e, z).entries() for e in C.basis_elems() for z in amb.group.elements()]
+    return _composition_closure(amb, seeds)
 
 
-def _composition_closure(N, seeds) -> SubspaceBasis:
-    """Span of flattened N x N operators closed under composition."""
+def _composition_closure(amb: Ambient, seeds) -> SubspaceBasis:
+    """Span of operators on M, as flattened vectors, closed under
+    composition; the products are block products."""
+    size, n = amb.gset.size, amb.n
+
     def compose(v, w):
-        return (Mat.from_flat(v, N, N) * Mat.from_flat(w, N, N)).flatten()
+        left = BlockOp.from_entries(size, n, sparse(v))
+        return (left * BlockOp.from_entries(size, n, sparse(w))).entries()
 
-    return span_closure(N * N, seeds, binary_steps=[compose])
+    return span_closure(amb.module_dim ** 2, seeds, binary_steps=[compose])
 
 
 def module_closure(ops, seeds, N):
     """For each seed in turn, the smallest subspace of M containing it and
-    invariant under ops.  Vectors stay sparse maps, and each operator is
-    applied through the nonzero entries of its columns, listed once for
-    all seeds; an image that is zero is not inserted."""
-    steps = [sparse_apply(op) for op in ops]
+    invariant under the ``BlockOp``s ops.  Vectors stay sparse maps.  An
+    index from each column to the operators with a nonzero entry there is
+    built once for all seeds, so a row is applied only to the operators
+    that can move it; an image that is zero is not inserted."""
+    movers = {}
+    for k, op in enumerate(ops):
+        for j in op.columns():
+            movers.setdefault(j, set()).add(k)
     for seed in seeds:
         builder = EchelonBuilder(N)
         work = [seed]
         while work:
             added = [row for row in map(builder.add, work) if row is not None]
-            work = [image for v in added for step in steps if (image := step(v))]
+            work = []
+            for v in added:
+                touched = set().union(*(movers.get(j, ()) for j in v))
+                work += [image for k in sorted(touched) if (image := ops[k].apply(v))]
         yield builder.basis()
 
 
@@ -584,9 +562,8 @@ def certificate_defect(C: SubSpan, certificate: SubspaceBasis):
     if certificate.dim == N:
         return "certificate is all of M"
     for name, op in _module_operators(C):
-        apply = sparse_apply(op)
         for row in certificate.srows:
-            if not certificate.contains(apply(row)):
+            if not certificate.contains(op.apply(row)):
                 return f"certificate is not invariant under {name}"
     return None
 

@@ -373,9 +373,9 @@ def test_theta_bridge_from_sigma(rng):
             x = amb.basis_elem(*t)
             for z in group.elements():
                 lhs = Mat.from_flat(
-                    theta.apply(evaluate(x, z).flatten()), amb.module_dim, amb.module_dim
+                    theta.apply(evaluate(x, z).to_mat().flatten()), amb.module_dim, amb.module_dim
                 )
-                assert lhs == evaluate(sigma.apply_elem(x), z)
+                assert lhs == evaluate(sigma.apply_elem(x), z).to_mat()
 
 
 def test_theta_bridge_rejects_mutation():

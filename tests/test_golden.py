@@ -9,13 +9,14 @@ import pytest
 import cendlab.conformal
 import cendlab.workbench
 from cendlab.cli import run_job
+from cendlab.linalg import Mat
 
 GOLDEN = Path(__file__).parent / "golden"
 NAMES = sorted(p.name[: -len(".job.json")] for p in GOLDEN.glob("*.job.json"))
 
 
 def test_golden_set_is_complete():
-    assert len(NAMES) == 19
+    assert len(NAMES) == 22
     assert all((GOLDEN / f"{name}.report.json").exists() for name in NAMES)
 
 
@@ -46,4 +47,32 @@ def test_decisions_run_without_the_oracles(name, monkeypatch):
     for module in (cendlab.conformal, cendlab.workbench):
         monkeypatch.setattr(module, "subalgebra_closure_witness", oracle)
     monkeypatch.setattr(cendlab.workbench, "enrich", oracle)
+    check_golden(name, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in NAMES if name.startswith(("phi_", "wn_", "irreducible_"))]
+)
+def test_operators_stay_block_sparse(name, monkeypatch):
+    # operators on M are block-sparse: no matrix product or application
+    # larger than the n x n blocks runs in these jobs
+    n = json.loads((GOLDEN / f"{name}.job.json").read_text())["n"]
+    mul, apply = Mat.__mul__, Mat.apply
+
+    def small(*mats):
+        for m in mats:
+            if m.nrows > n or m.ncols > n:
+                raise AssertionError(f"a dense {m.nrows} x {m.ncols} operator ran")
+
+    def guarded_mul(self, other):
+        if isinstance(other, Mat):
+            small(self, other)
+        return mul(self, other)
+
+    def guarded_apply(self, vec):
+        small(self)
+        return apply(self, vec)
+
+    monkeypatch.setattr(Mat, "__mul__", guarded_mul)
+    monkeypatch.setattr(Mat, "apply", guarded_apply)
     check_golden(name, monkeypatch)

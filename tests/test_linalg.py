@@ -51,17 +51,16 @@ def test_rref_idempotent_and_canonical(rng):
         basis, _ = rref(Mat(rows))
         again, _ = rref(Mat([list(r) for r in basis.rows]))
         assert again.rows == basis.rows
-        # an invertible recombination of the rows spans the same space
-        mixed = [
-            [
-                sum((q(rng.randint(-2, 2)) * x for x in col), q(0))
-                for col in zip(*rows)
-            ]
-            for _ in range(4)
-        ]
+        # an invertible recombination of the rows spans the same space: a
+        # random unit lower triangular matrix times the rows
+        lower = Mat([
+            [q(1) if i == j else q(rng.randint(-2, 2)) if j < i else q(0) for j in range(4)]
+            for i in range(4)
+        ])
+        mixed, _ = rref(lower * Mat(rows))
+        assert mixed.rows == basis.rows
         joint, _ = rref(Mat(rows + [list(r) for r in rows]))
         assert joint.rows == basis.rows
-        del mixed
 
 
 def test_span_closure_swap_reaches_plane():

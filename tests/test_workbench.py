@@ -8,7 +8,7 @@ from cendlab.groups import cyclic_group, coset_gset, symmetric_group, subgroups,
 from cendlab.hopf import basis_h, one_h
 from cendlab.classify import ChiFunction, apply_automorphism, build_sigma, chi_span, grading
 from cendlab.conformal import Ambient, DiffElem, SubSpan, cend, cur, diff_product, subalgebra_closure_witness
-from cendlab.linalg import Mat, SubspaceBasis, span_closure
+from cendlab.linalg import BlockOp, Mat, SubspaceBasis, span_closure
 from cendlab.workbench import (
     ConfOperator,
     IdealShapeError,
@@ -70,7 +70,7 @@ def witness_span(amb):
 def test_evaluate_example(c2_amb):
     x = c2_amb.basis_elem(1, 0, 0, 0)
     m = evaluate(x, 1)
-    assert m.rows == ((q(0), q(1)), (q(0), q(0)))
+    assert m.to_mat().rows == ((q(0), q(1)), (q(0), q(0)))
     assert evaluate(x, 0).is_zero()
 
 
@@ -184,9 +184,9 @@ def test_fourier_examples(c2_amb):
 
 
 def test_gamma_examples(c2_amb):
-    assert gamma_op(one_h(c2_amb.group, QQ), c2_amb) == Mat.identity(2, QQ)
+    assert gamma_op(one_h(c2_amb.group, QQ), c2_amb).to_mat() == Mat.identity(2, QQ)
     proj = gamma_op(basis_h(c2_amb.group, 0, QQ), c2_amb)
-    assert proj.rows == ((q(1), q(0)), (q(0), q(0)))
+    assert proj.to_mat().rows == ((q(1), q(0)), (q(0), q(0)))
     h = basis_h(c2_amb.group, 0, QQ).scale(q(2)) + basis_h(c2_amb.group, 1, QQ).scale(q(-5))
     elem = DiffElem(c2_amb, {(g, 0): Mat.identity(1, QQ).scale(h.coeffs[0]) for g in range(2)})
     elem = elem + DiffElem(c2_amb, {(g, 1): Mat.identity(1, QQ).scale(h.coeffs[1]) for g in range(2)})
@@ -214,7 +214,7 @@ def test_wn_raw_mode(c2_amb):
 def test_wn_of_enriched_is_gamma_times_wn(c2_amb):
     C = cur(cyclic_group(2), 1)
     lhs = wn_span(enrich(C))
-    gammas = [gamma_op(basis_h(c2_amb.group, u, QQ), c2_amb) for u in range(2)]
+    gammas = [gamma_op(basis_h(c2_amb.group, u, QQ), c2_amb).to_mat() for u in range(2)]
     vecs = []
     for v in wn_span(C).rows:
         m = Mat.from_flat(list(v), 2, 2)
@@ -424,11 +424,11 @@ def test_intrinsic_action_matches_pointwise_scaling():
     # pointwise rule T_q . a(g) = T_q(g^-1) a(g), for every basis element
     for group in (cyclic_group(4), symmetric_group(3)):
         amb = Ambient(group, 1)
-        gammas = [gamma_op(basis_h(group, u, QQ), amb) for u in group.elements()]
+        gammas = [gamma_op(basis_h(group, u, QQ), amb).to_mat() for u in group.elements()]
         for t in amb.basis_indices():
             x = amb.basis_elem(*t)
             for g in group.elements():
-                op = evaluate(x, g)
+                op = evaluate(x, g).to_mat()
                 ginv = group.inv(g)
                 for qq in group.elements():
                     acted = Mat.zero(amb.module_dim, amb.module_dim, QQ)
@@ -481,11 +481,14 @@ def dense_tinvariance(a):
     def indicator(w):
         return [field.one if v == w else field.zero for v in amb.gset.points()]
 
+    def dense_gamma(w):
+        return gamma_op(indicator(w), amb).to_mat(field)
+
     for g in amb.group.elements():
-        op = a.at(g)
+        op = a.at(g).to_mat(field)
         for w in amb.gset.points():
             shifted = amb.gset.act(amb.group.inv(g), w)
-            if op * gamma_op(indicator(w), amb) != gamma_op(indicator(shifted), amb) * op:
+            if op * dense_gamma(w) != dense_gamma(shifted) * op:
                 return False, {"g": g, "w": w}
     return True, None
 
@@ -507,7 +510,7 @@ def test_tinvariance_scan_matches_dense_definition(data):
     matrix = st.lists(st.lists(scalar, min_size=n, max_size=n), min_size=n, max_size=n)
     keys = st.tuples(st.sampled_from(group.elements()), st.sampled_from(gset.points()))
     comps = data.draw(st.dictionaries(keys, matrix.map(Mat), max_size=4))
-    ops = [[list(r) for r in op.rows] for op in phi_inv(DiffElem(amb, comps)).ops]
+    ops = [[list(r) for r in op.to_mat(field).rows] for op in phi_inv(DiffElem(amb, comps)).ops]
     N = amb.module_dim
     entry = st.tuples(
         st.sampled_from(group.elements()), st.integers(0, N - 1), st.integers(0, N - 1)
@@ -551,7 +554,8 @@ def test_module_closure_matches_dense_apply(field):
         expect = [
             span_closure(N, [seed], unary_steps=[op.apply for op in ops]) for seed in seeds
         ]
-        assert list(module_closure(ops, seeds, N)) == expect
+        blocks = [BlockOp.from_mat(op, 2) for op in ops]
+        assert list(module_closure(blocks, seeds, N)) == expect
 
 
 # (group, n) of the spans drawn for the grading property, over V = G
@@ -665,3 +669,42 @@ def test_grading_decides_like_the_oracles(data):
     res = is_irreducible(C)
     assert res.irreducible == enriched.is_full()
     assert res.enriched_dim == enriched.dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_block_operators_match_dense_oracle(data):
+    # product, equality, application and the zero test of block operators
+    # against dense matrices, which only this test builds
+    field = data.draw(st.sampled_from([QQ, ZETA4]))
+    group, gset, n = data.draw(st.sampled_from(TINV_CASES))
+    amb = Ambient(group, n, gset=gset, field=field)
+    N = amb.module_dim
+    scalar = scalars(field)
+    matrix = st.lists(st.lists(scalar, min_size=n, max_size=n), min_size=n, max_size=n)
+    keys = st.tuples(st.sampled_from(group.elements()), st.sampled_from(gset.points()))
+    entry = st.tuples(st.integers(0, N - 1), st.integers(0, N - 1), scalar.filter(bool))
+
+    def draw_dense():
+        # an evaluation with non-monomial blocks, plus entries off its blocks
+        comps = data.draw(st.dictionaries(keys, matrix.map(Mat), max_size=4))
+        z = data.draw(st.sampled_from(group.elements()))
+        rows = [list(r) for r in evaluate(DiffElem(amb, comps), z).to_mat(field).rows]
+        for r, c, a in data.draw(st.lists(entry, max_size=3)):
+            rows[r][c] = rows[r][c] + a
+        return Mat(rows)
+
+    da = draw_dense()
+    db = da if data.draw(st.booleans()) else draw_dense()
+    a, b = BlockOp.from_mat(da, n), BlockOp.from_mat(db, n)
+    assert a.to_mat(field) == da and b.to_mat(field) == db
+    assert (a * b).to_mat(field) == da * db
+    assert (b * a).to_mat(field) == db * da
+    assert (a == b) == (da == db)
+    assert a.is_zero() == da.is_zero()
+    assert (a * b).is_zero() == (da * db).is_zero()
+    vec = data.draw(st.lists(scalar, min_size=N, max_size=N))
+    expect = {i: x for i, x in enumerate(da.apply(vec)) if x}
+    assert a.apply(vec) == expect
+    assert a.apply({j: x for j, x in enumerate(vec) if x}) == expect
+    assert a.entries() == {k: x for k, x in enumerate(da.flatten()) if x}
