@@ -29,7 +29,7 @@ from .classify import (
 )
 from .conformal import Ambient, cend, check_axioms, check_axioms_exhaustive_basis, diff_product
 from .fields import FieldError, field_from_spec
-from .groups import GroupError, cosets, is_transitive, make_group, make_gset
+from .groups import GroupError, cosets, is_subgroup, is_transitive, make_group, make_gset
 from .hopf import coaction_report, hopf_axiom_report
 from .weyl import WeylElem, module_compat_witness, weyl_algebra_relation, weyl_nprod
 from .operad import (
@@ -258,7 +258,8 @@ def run_irreducible(job, report):
     _check(
         report,
         "irred.enrich-test",
-        True,
+        res.irreducible == (res.enriched_dim == amb.dim)
+        and span.dim <= res.enriched_dim <= amb.dim,
         {"enriched_dim": res.enriched_dim, "full": res.irreducible},
     )
     cert = None
@@ -300,8 +301,11 @@ def run_ideal(job, report):
     )
     essential = None
     if side == "left" and b0 is not None:
-        essential = is_essential(amb, b0)
-        _check(report, "ideal.essential", True, {"essential": essential})
+        essential, by_whole_ring = is_essential(amb, b0)
+        detail = {"essential": essential}
+        if by_whole_ring != essential:
+            detail["by_whole_ring"] = by_whole_ring
+        _check(report, "ideal.essential", by_whole_ring == essential, detail)
     report["result"] = {
         "ideal_dim": closure.dim,
         "b0_dim": None if b0 is None else b0.dim,
@@ -358,10 +362,20 @@ def run_classify(job, report):
         report["result"] = {"verdict": "reducible input"}
         return
     _check(report, "classify.build", True, {"dim": span.dim, "enriched_dim": amb.dim})
-    _check(report, "classify.canonical", True, {"subgroup": list(subgroup)})
+    # canonical: the subgroup is one, and chi is 1 at the representatives,
+    # the least points of the cosets
+    classes = cosets(amb.group, subgroup) if is_subgroup(amb.group, subgroup) else None
+    one = amb.field.one
+    canonical = classes is not None and all(
+        chi_out.value(g, min(c)) == one for c in classes for g in amb.group.elements()
+    )
+    _check(report, "classify.canonical", canonical, {"subgroup": list(subgroup)})
+    if not canonical:
+        report["result"] = {"verdict": "not canonical"}
+        return
     report["result"] = {
         "subgroup": list(subgroup),
-        "cosets": [list(c) for c in cosets(amb.group, subgroup)],
+        "cosets": [list(c) for c in classes],
         "chi": jsonio.chi_to_json(chi_out, amb.field),
         "sigma_conjugators": [
             jsonio.mat_to_json(u, amb.field) for u in (sigma.us or [])

@@ -20,8 +20,11 @@ column index built from the blocks.  Dense N x N matrices (N = |V| n) are
 built only for the oracles of the tests.
 
 Closure and the enrichment of a span are decided on one route, ``grading``:
-first-slot components, the graded product rule and per-block ranks.  Both
-``is_irreducible`` and ``classify.analyze_Se`` call it.  The closure witness
+first-slot components, the graded product rule and per-block ranks.  The
+product rule closes a greedy generating set of the span under left
+multiplication, so it multiplies about (generators) x dim S pairs, not
+every pair of basis rows.  Both ``is_irreducible`` and
+``classify.analyze_Se`` call ``grading``.  The closure witness
 ``conformal.subalgebra_closure_witness``, the explicit enrichment ``enrich``
 and the operator-side ``operator_algebra`` stay as independent oracles that
 the tests compare the route with; no decision calls them.
@@ -347,7 +350,6 @@ class GradedDecomposition:
     __slots__ = (
         "ambient",
         "components",
-        "graded_report",
         "defect",
         "ranks",
         "classes",
@@ -359,7 +361,6 @@ class GradedDecomposition:
     def __init__(self, ambient, components):
         self.ambient = ambient
         self.components = components  # g -> SubspaceBasis in A (x) M_n coords
-        self.graded_report = None
         self.defect = None
         self.ranks = None
         self.classes = None
@@ -416,26 +417,62 @@ def _graded_product(amb: Ambient, x, y, shift):
 
 
 def _product_rule(amb: Ambient, components, blocks):
-    """Check S_g . (shift of S_h) inside S_{gh} pair by pair, on the
-    point-block maps of the rows.  Returns the report, whether each pair
-    was verified on a nonzero product or held vacuously, and None; or the
-    partial report and the first failure."""
+    """Decide S_g . (shift of S_h) inside S_{gh} from a generating set.
+
+    The component rows are walked in order.  A row outside W, the span
+    reached so far, becomes a generator x and joins W; W is kept closed
+    under left multiplication by the generators, with one echelon per
+    component.  Each product x . w, for x in S_g and w in W_h, is reduced
+    against W_{gh}, and only a new one is tested in S_{gh} and joins W.
+
+    So W lies in S, and once every row of S is in W, W = S.  The graded
+    product is associative (both bracketings of x . y . z read
+    x(gamma) y(g^-1 gamma) z(h^-1 g^-1 gamma)), so a span that contains
+    the generators and is closed under left multiplication by them is
+    closed under all products.  A closed span costs (number of
+    generators) x dim S products instead of (dim S)^2.  Returns None, or a
+    phrase naming the pair (g, h) of the first product found outside
+    S_{gh}; both of its factors lie in S."""
     group = amb.group
-    report = {}
-    for g in group.elements():
+    n2 = amb.n * amb.n
+    zero = amb.field.zero
+    closure = {g: EchelonBuilder(comp.ambient) for g, comp in components.items()}
+    gens = []  # (g, g^-1, x) for each generator x in S_g
+    spanning = []  # (h, y): a basis of W, as point-block maps, y in W_h
+    done = 0  # spanning[:done] has been multiplied by every generator
+
+    def multiply(gen, h, y):
+        g, ginv, x = gen
+        prod = _graded_product(amb, x, y, ginv)
+        gh = group.mul(g, h)
+        if prod and closure[gh].add(prod) is not None:
+            if not components[gh].contains(prod):
+                return f"grading product rule fails at (g={g}, h={h})"
+            spanning.append((gh, dense_blocks(prod, n2, zero)))
+        return None
+
+    for g, comp in components.items():
         ginv = group.inv(g)
-        for h in group.elements():
-            target = components[group.mul(g, h)]
-            status = "vacuous"
-            for x in blocks[g]:
-                for y in blocks[h]:
-                    prod = _graded_product(amb, x, y, ginv)
-                    if prod:
-                        if not target.contains(prod):
-                            return report, f"grading product rule fails at (g={g}, h={h})"
-                        status = "verified"
-            report[(g, h)] = status
-    return report, None
+        for row, x in zip(comp.srows, blocks[g]):
+            if closure[g].add(row) is None:
+                continue
+            # all of W has met the earlier generators; the new one meets it
+            # here, and what W gains from now on meets every generator
+            gen = (g, ginv, x)
+            gens.append(gen)
+            for h, y in list(spanning):
+                defect = multiply(gen, h, y)
+                if defect:
+                    return defect
+            spanning.append((g, x))
+            while done < len(spanning):
+                h, y = spanning[done]
+                done += 1
+                for gen in gens:
+                    defect = multiply(gen, h, y)
+                    if defect:
+                        return defect
+    return None
 
 
 def grading(C: SubSpan) -> GradedDecomposition:
@@ -449,10 +486,11 @@ def grading(C: SubSpan) -> GradedDecomposition:
     Closure: the span is an H-submodule iff it is homogeneous, i.e. its
     first-slot components S_g add up to it, and a homogeneous span is
     closed under the products iff S_g . (shift of S_h) lies in S_{gh} for
-    all g, h.  ``defect`` is None when the span is closed, otherwise a
-    phrase naming the first failure; ``graded_report`` tells, for every
-    pair (g, h), whether the rule was verified on a nonzero product or held
-    vacuously.
+    all g, h.  The rule is decided from a generating set of S, not pair by
+    pair of basis rows: ``_product_rule`` closes the generators under left
+    multiplication inside S.  ``defect`` is None when the span is closed,
+    otherwise a phrase naming a pair (g, h) with a product of S_g and
+    S_h outside S_{gh}.
 
     Enrichment: ``ranks[(g, w)]`` is the rank of the span's projection onto
     the (g, w) block.  ``enrich`` spans exactly these block projections, so
@@ -477,7 +515,7 @@ def grading(C: SubSpan) -> GradedDecomposition:
             f"dimension {total} against span dimension {C.dim}"
         )
     else:
-        decomp.graded_report, decomp.defect = _product_rule(amb, decomp.components, blocks)
+        decomp.defect = _product_rule(amb, decomp.components, blocks)
     decomp.ranks = {}
     for g, rows in blocks.items():
         for w in amb.gset.points():
@@ -766,22 +804,16 @@ def right_annihilator(amb: Ambient, B0: SubspaceBasis) -> SubspaceBasis:
     return sparse_nullspace(D, dedupe.index.values(), amb.field.one)
 
 
-def is_essential(amb: Ambient, B0: SubspaceBasis) -> bool:
-    """Essentiality of a left ideal of M_n(A), decided by the annihilator
-    criterion and cross-checked against the whole-ring criterion (in this
-    finite semisimple setting the two agree; a disagreement would mean a
-    convention bug, so it raises)."""
+def is_essential(amb: Ambient, B0: SubspaceBasis):
+    """Essentiality of a left ideal of M_n(A) by two criteria: (zero right
+    annihilator, B0 is the whole matrix ring).  In this finite semisimple
+    setting the two agree; both are returned so that a caller can compare
+    them (the CLI's ``ideal.essential`` check does), since a disagreement
+    would mean a convention bug."""
     if not is_mn_a_left_ideal(amb, B0):
         raise WorkbenchError("B0 is not a left ideal of M_n(A)")
     ann = right_annihilator(amb, B0)
-    by_annihilator = ann.dim == 0
-    by_whole_ring = B0.dim == matrix_coeff_ambient_dim(amb)
-    if by_annihilator != by_whole_ring:
-        raise WorkbenchError(
-            "essentiality criteria disagree; annihilator "
-            f"dim {ann.dim}, ideal dim {B0.dim}"
-        )
-    return by_annihilator
+    return ann.dim == 0, B0.dim == matrix_coeff_ambient_dim(amb)
 
 
 def is_simple(amb: Ambient):

@@ -268,17 +268,17 @@ def test_criterion_07_essentiality():
                 ann = right_annihilator(amb, b0)
                 whole = b0.dim == D
                 assert (ann.dim == 0) == whole
-                assert is_essential(amb, b0) == whole
+                assert is_essential(amb, b0) == (whole, whole)
                 agreements += 1
     # the three hand-checked instances over the two-element group
     amb = Ambient(TARGET_GROUPS["C2"], 1)
     whole = SubspaceBasis.from_vectors(2, [[q(1), q(0)], [q(0), q(1)]])
-    assert is_essential(amb, whole)
+    assert is_essential(amb, whole) == (True, True)
     kte = mn_a_left_ideal_closure(amb, [[q(1), q(0)]])
     assert right_annihilator(amb, kte).rows == ((q(0), q(1)),)
-    assert not is_essential(amb, kte)
+    assert is_essential(amb, kte) == (False, False)
     dense = mn_a_left_ideal_closure(amb, [[q(1), q(2)]])
-    assert dense.dim == 2 and is_essential(amb, dense)
+    assert dense.dim == 2 and is_essential(amb, dense) == (True, True)
 
 
 @criterion(8, "simplicity vs transitivity")

@@ -25,7 +25,7 @@ from cendlab.classify import (
 )
 from cendlab.workbench import WorkbenchError, evaluate, is_irreducible
 
-from conftest import rand_invertible
+from conftest import pairwise_product_rule, rand_invertible
 
 
 def q(x):
@@ -115,9 +115,15 @@ def test_grading_of_cend_and_cur():
     amb = Ambient(g, 1)
     d = grading(cend(amb))
     assert all(comp.dim == 2 for comp in d.components.values())
-    d2 = grading(cur(g, 1))
+    assert d.defect is None
+    current = cur(g, 1)
+    d2 = grading(current)
     assert all(comp.dim == 1 for comp in d2.components.values())
-    assert all(status == "verified" for status in d2.graded_report.values())
+    assert d2.defect is None
+    # every pair (g, h) meets a nonzero product, and all of them lie in S_gh
+    report = pairwise_product_rule(current)
+    assert set(report) == {(a, b) for a in range(2) for b in range(2)}
+    assert all(status == "verified" for status in report.values())
 
 
 def test_grading_of_reducible_witness_vacuous_off_identity():
@@ -126,9 +132,11 @@ def test_grading_of_reducible_witness_vacuous_off_identity():
     w = SubSpan.from_elems(amb, [amb.basis_elem(x, 0, 0, 0) for x in range(2)])
     d = grading(w)
     assert all(comp.dim == 1 for comp in d.components.values())
+    assert d.defect is None
     # products vanish identically unless the left grading index is e
-    for (gg, hh), status in d.graded_report.items():
-        assert status == ("verified" if gg == 0 else "vacuous")
+    assert pairwise_product_rule(w) == {
+        (gg, hh): "verified" if gg == 0 else "vacuous" for gg in range(2) for hh in range(2)
+    }
 
 
 def test_grading_rejects_inhomogeneous_span():

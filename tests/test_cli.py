@@ -286,3 +286,88 @@ def test_irreducible_broken_certificate_fails_the_report(tmp_path, monkeypatch, 
     assert checks["irred.certificate"]["detail"] == defect
     assert report["result"]["certificate"] == fake
     assert not report["passed"]
+
+
+def run_main_on_golden(tmp_path, name):
+    """Run ``cli.main`` in this process on a golden job, so that a test can
+    patch what the CLI calls; returns the exit code and the report."""
+    from pathlib import Path
+
+    from cendlab.cli import main
+
+    job = json.loads((Path(__file__).parent / "golden" / f"{name}.job.json").read_text())
+    job_path = tmp_path / "job.json"
+    job_path.write_text(json.dumps(job))
+    out_path = tmp_path / "report.json"
+    code = main([job["command"], "--input", str(job_path), "--output", str(out_path)])
+    return code, json.loads(out_path.read_text())
+
+
+def failed_checks(report):
+    return [c["id"] for c in report["checks"] if not c["passed"]]
+
+
+@pytest.mark.parametrize("name, enriched_dim", [
+    ("irreducible_irreducible", lambda dim: dim - 1),
+    ("irreducible_reducible", lambda dim: 0),
+], ids=["irreducible-but-proper", "below-the-span"])
+def test_enrich_test_compares_the_verdict_with_the_enriched_dimension(
+    tmp_path, monkeypatch, name, enriched_dim
+):
+    # an irreducible verdict with a proper enrichment, or an enriched
+    # dimension below that of the span, fails irred.enrich-test
+    import cendlab.cli
+
+    real = cendlab.cli.is_irreducible
+
+    def broken(span):
+        res = real(span)
+        res.enriched_dim = enriched_dim(res.enriched_dim)
+        return res
+
+    monkeypatch.setattr(cendlab.cli, "is_irreducible", broken)
+    code, report = run_main_on_golden(tmp_path, name)
+    assert code == 1
+    assert failed_checks(report) == ["irred.enrich-test"]
+
+
+def test_essential_check_compares_the_two_criteria(tmp_path, monkeypatch):
+    # criteria that disagree fail ideal.essential and are both reported
+    import cendlab.cli
+
+    real = cendlab.cli.is_essential
+
+    def disagreeing(amb, b0):
+        by_annihilator, by_whole_ring = real(amb, b0)
+        return by_annihilator, not by_whole_ring
+
+    monkeypatch.setattr(cendlab.cli, "is_essential", disagreeing)
+    code, report = run_main_on_golden(tmp_path, "ideal_left_essential")
+    assert code == 1
+    assert failed_checks(report) == ["ideal.essential"]
+    detail = report["checks"][-1]["detail"]
+    assert detail == {"essential": True, "by_whole_ring": False}
+
+
+@pytest.mark.parametrize("breakage", ["chi-at-representative", "not-a-subgroup"])
+def test_canonical_check_reads_the_subgroup_and_chi(tmp_path, monkeypatch, breakage):
+    # classify.canonical fails when canonicalize returns a subset that is no
+    # subgroup, or a chi that is not 1 at a coset representative
+    import cendlab.cli
+    from cendlab.classify import ChiFunction
+
+    real = cendlab.cli.canonicalize
+
+    def broken(span):
+        subgroup, chi, sigma = real(span)
+        if breakage == "not-a-subgroup":
+            return (0, 1), chi, sigma
+        values = [list(row) for row in chi.values]
+        values[1][0] = values[1][0] + values[1][0]
+        return subgroup, ChiFunction(chi.group, values), sigma
+
+    monkeypatch.setattr(cendlab.cli, "canonicalize", broken)
+    code, report = run_main_on_golden(tmp_path, "classify_subgroup_c4")
+    assert code == 1
+    assert failed_checks(report) == ["classify.canonical"]
+    assert report["result"] == {"verdict": "not canonical"}

@@ -117,3 +117,28 @@ def test_cyclotomic_field_axioms(xa, xb, xc):
 def test_zeta_powers_multiply(p, q):
     F = CyclotomicField(24)
     assert F.zeta(p) * F.zeta(q) == F.zeta(p + q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cyclotomic_field_axioms_across_conductors(data):
+    # Q(zeta_m) for conductors with degree 2 and 4, prime and composite;
+    # coefficients are small fractions in the power basis
+    F = CyclotomicField(data.draw(st.sampled_from([3, 5, 8, 12])))
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    elem = st.lists(coeff, min_size=F.degree, max_size=F.degree).map(F.scalar)
+    a, b, c = data.draw(elem), data.draw(elem), data.draw(elem)
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + F.zero == a and a * F.one == a
+    assert a + (-a) == F.zero and a - b == a + (-b)
+    if a:
+        inv = F.one / a
+        assert a * inv == F.one
+        assert (b / a) * a == b
+    else:
+        with pytest.raises(ZeroDivisionError):
+            F.one / a

@@ -76,3 +76,36 @@ def test_operators_stay_block_sparse(name, monkeypatch):
     monkeypatch.setattr(Mat, "__mul__", guarded_mul)
     monkeypatch.setattr(Mat, "apply", guarded_apply)
     check_golden(name, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        name
+        for name in NAMES
+        # classify_invalid_chi stops at classify.validate-chi, before grading
+        if name.startswith(("classify_", "irreducible_")) and name != "classify_invalid_chi"
+    ],
+)
+def test_product_rule_is_not_pairwise(name, monkeypatch):
+    # grading decides the product rule by closing a generating set, with
+    # (generators) x dim S products, where the pairwise scan took (dim S)^2.
+    # No job may use more than half of that.  A span of dimension 2 is
+    # exempt: classify_reducible, T_e (x) T_0 and T_g (x) T_0 over C2, needs
+    # both as generators, so 4 products.
+    rule, product = cendlab.workbench._product_rule, cendlab.workbench._graded_product
+    runs = []  # [dim S, products] per product-rule decision
+
+    def counted_rule(amb, components, blocks):
+        runs.append([sum(comp.dim for comp in components.values()), 0])
+        return rule(amb, components, blocks)
+
+    def counted_product(*args):
+        runs[-1][1] += 1
+        return product(*args)
+
+    monkeypatch.setattr(cendlab.workbench, "_product_rule", counted_rule)
+    monkeypatch.setattr(cendlab.workbench, "_graded_product", counted_product)
+    check_golden(name, monkeypatch)
+    assert runs
+    assert all(2 * products <= dim * dim or dim <= 2 for dim, products in runs), runs

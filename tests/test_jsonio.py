@@ -1,10 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cendlab import jsonio
 from cendlab.classify import ChiFunction, build_sigma
-from cendlab.conformal import Ambient, cur
+from cendlab.conformal import Ambient, DiffElem, SubSpan, cur
 from cendlab.fields import CyclotomicField, QQ
 from cendlab.groups import cyclic_group
 from cendlab.hopf import basis_h
@@ -95,3 +96,69 @@ def test_weylelem_roundtrip():
 def test_mat_roundtrip():
     m = Mat([[q(1), q(0)], [QQ.scalar("2/3"), q(-4)]])
     assert jsonio.mat_from_json(jsonio.mat_to_json(m, QQ), QQ) == m
+
+
+# round trips through the JSON text, over QQ and Q(zeta_4)
+JSON_FIELDS = [QQ, CyclotomicField(4)]
+JSON_GROUPS = [cyclic_group(2), cyclic_group(3)]
+
+
+def json_scalars(field):
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    if field is QQ:
+        return coeff.map(field.scalar)
+    return st.lists(coeff, min_size=field.degree, max_size=field.degree).map(field.scalar)
+
+
+def through_text(obj):
+    return json.loads(json.dumps(obj, sort_keys=True))
+
+
+@st.composite
+def ambient_and_elems(draw, max_elems):
+    field = draw(st.sampled_from(JSON_FIELDS))
+    amb = Ambient(draw(st.sampled_from(JSON_GROUPS)), draw(st.integers(1, 2)), field=field)
+    n = amb.n
+    matrix = st.lists(json_scalars(field), min_size=n * n, max_size=n * n).map(
+        lambda entries: Mat.from_flat(entries, n, n)
+    )
+    keys = st.tuples(st.sampled_from(list(amb.group.elements())), st.sampled_from(list(amb.gset.points())))
+    elem = st.dictionaries(keys, matrix, max_size=3).map(lambda comps: DiffElem(amb, comps))
+    return amb, draw(st.lists(elem, min_size=1, max_size=max_elems))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ambient_and_elems(max_elems=1))
+def test_diffelem_json_round_trip_property(drawn):
+    amb, (x,) = drawn
+    assert jsonio.diffelem_from_json(amb, through_text(jsonio.diffelem_to_json(x))) == x
+
+
+@settings(max_examples=60, deadline=None)
+@given(ambient_and_elems(max_elems=3))
+def test_subspan_json_round_trip_property(drawn):
+    amb, elems = drawn
+    span = SubSpan.from_elems(amb, elems)
+    back = jsonio.subspan_from_json(through_text(jsonio.subspan_to_json(span)))
+    assert back.ambient == amb and back == span
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_chi_json_round_trip_property(data):
+    field = data.draw(st.sampled_from(JSON_FIELDS))
+    group = data.draw(st.sampled_from(JSON_GROUPS))
+    nonzero = json_scalars(field).filter(bool)
+    row = st.lists(nonzero, min_size=group.order, max_size=group.order)
+    chi = ChiFunction(group, data.draw(st.lists(row, min_size=group.order, max_size=group.order)))
+    assert jsonio.chi_from_json(group, through_text(jsonio.chi_to_json(chi, field)), field) == chi
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mat_json_round_trip_property(data):
+    field = data.draw(st.sampled_from(JSON_FIELDS))
+    nrows, ncols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    row = st.lists(json_scalars(field), min_size=ncols, max_size=ncols)
+    m = Mat(data.draw(st.lists(row, min_size=nrows, max_size=nrows)))
+    assert jsonio.mat_from_json(through_text(jsonio.mat_to_json(m, field)), field) == m

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from cendlab.classify import ChiFunction, apply_automorphism, build_sigma, chi_s
 from cendlab.conformal import Ambient, DiffElem, SubSpan, cend, cur, diff_product, subalgebra_closure_witness
 from cendlab.linalg import BlockOp, Mat, SubspaceBasis, span_closure
 from cendlab.workbench import (
+    _first_slot_components,
     ConfOperator,
     IdealShapeError,
     NotTInvariantError,
@@ -44,7 +46,7 @@ from cendlab.workbench import (
     wn_span,
 )
 
-from conftest import rand_invertible
+from conftest import pairwise_product_rule, rand_invertible
 
 
 def q(x):
@@ -325,14 +327,14 @@ def test_annihilator_examples():
     whole = SubspaceBasis.from_vectors(
         D, [[q(1), q(0)], [q(0), q(1)]]
     )
-    assert is_essential(amb, whole)
+    assert is_essential(amb, whole) == (True, True)
     kte = mn_a_left_ideal_closure(amb, [[q(1), q(0)]])
     assert kte.dim == 1
     ann = right_annihilator(amb, kte)
     assert ann.rows == ((q(0), q(1)),)
-    assert not is_essential(amb, kte)
+    assert is_essential(amb, kte) == (False, False)
     dense = mn_a_left_ideal_closure(amb, [[q(1), q(2)]])
-    assert dense.dim == 2 and is_essential(amb, dense)
+    assert dense.dim == 2 and is_essential(amb, dense) == (True, True)
 
 
 def test_is_essential_rejects_non_ideal():
@@ -669,6 +671,52 @@ def test_grading_decides_like_the_oracles(data):
     res = is_irreducible(C)
     assert res.irreducible == enriched.is_full()
     assert res.enriched_dim == enriched.dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_product_rule_closure_matches_pairwise_oracle(data):
+    # the closure of a generating set in grading against the pairwise scan
+    # it replaced: the same verdict, and the pair it names really fails
+    field = data.draw(st.sampled_from([QQ, ZETA4]))
+    group, n = data.draw(st.sampled_from(GRADING_CASES))
+    amb = Ambient(group, n, field=field)
+    C = draw_span(data, amb)
+    if data.draw(st.booleans()):
+        # one more element with a single first slot: a homogeneous span stays
+        # homogeneous and mostly stops being closed
+        g = data.draw(st.sampled_from(list(group.elements())))
+        keys = st.tuples(st.just(g), st.sampled_from(list(amb.gset.points())))
+        matrix = st.lists(scalars(field), min_size=n * n, max_size=n * n).map(
+            lambda entries: Mat.from_flat(entries, n, n)
+        )
+        extra = DiffElem(amb, data.draw(st.dictionaries(keys, matrix, min_size=1, max_size=2)))
+        C = SubSpan.from_elems(amb, list(C.basis_elems()) + [extra])
+    defect = grading(C).defect
+    if sum(comp.dim for comp in _first_slot_components(C).values()) != C.dim:
+        assert defect.startswith("not homogeneous")
+        return
+    report = pairwise_product_rule(C)
+    assert (defect is None) == ("fails" not in report.values())
+    if defect is not None:
+        named = re.fullmatch(r"grading product rule fails at \(g=(\d+), h=(\d+)\)", defect)
+        assert report[tuple(map(int, named.groups()))] == "fails"
+
+
+@pytest.mark.parametrize("second", ["E12+E22", "E21+E22"])
+def test_product_rule_meets_every_generator_pair(second):
+    # S = span(a, c) in the identity component, a = E11 and c at every
+    # point; the walk takes a, then c.  a.a = a and c.c = c lie in S, and
+    # exactly one of a.c (E12) and c.a (E21) does not: the closure has to
+    # multiply an old generator by a new vector and a new generator by an
+    # old vector to see each failure.
+    amb = Ambient(cyclic_group(2), 2)
+    E = {(i, j): amb.basis_elem(0, 0, i, j) + amb.basis_elem(0, 1, i, j) for i in range(2) for j in range(2)}
+    a = E[(0, 0)]
+    c = E[(0, 1)] + E[(1, 1)] if second == "E12+E22" else E[(1, 0)] + E[(1, 1)]
+    C = SubSpan.from_elems(amb, [a, c])
+    assert pairwise_product_rule(C)[(0, 0)] == "fails"
+    assert grading(C).defect == "grading product rule fails at (g=0, h=0)"
 
 
 @settings(max_examples=150, deadline=None)
