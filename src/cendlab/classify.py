@@ -460,7 +460,7 @@ def _coset_indicator_span(amb: Ambient, classes) -> SubspaceBasis:
     return SubspaceBasis.from_vectors(block, vectors)
 
 
-def canonicalize(C: SubSpan):
+def canonicalize(C: SubSpan, decomp: GradedDecomposition | None = None):
     """Normalize an irreducible subalgebra to its canonical representative.
 
     Returns (subgroup ids, chi, sigma) such that applying sigma to the
@@ -469,14 +469,16 @@ def canonicalize(C: SubSpan):
     conjugators at representatives are pinned to the identity).
 
     The input is analysed once, by ``analyze_Se``, which refuses any span
-    that is not an irreducible subalgebra.  The image keeps its classes,
+    that is not an irreducible subalgebra; a caller that has already run it
+    on C passes its decomposition as ``decomp``.  The image keeps its classes,
     subgroup and representatives, since sigma acts slotwise; only its
     first-slot components are read off again.  The closing comparison with
     the span rebuilt from (subgroup, chi) is the exact certificate of the
     output.
     """
     amb = C.ambient
-    decomp = analyze_Se(C)
+    if decomp is None:
+        decomp = analyze_Se(C)
     n = amb.n
     ident = Mat.identity(n, amb.field)
     vs = []

@@ -23,6 +23,7 @@ from .classify import (
     ChiFunction,
     InvalidChiError,
     NotIrreducibleError,
+    analyze_Se,
     canonicalize,
     chi_span,
     validate_chi,
@@ -350,18 +351,24 @@ def run_classify(job, report):
             report["result"] = {"verdict": "invalid chi", "witness": _witness_json(witness, amb)}
             return
         span = chi_span(amb.group, sub, chi, amb.n, amb.field)
-    # canonicalize decides closure and irreducibility once, in analyze_Se;
-    # a span it accepts has every block rank n^2, so its enrichment is the
-    # whole algebra
+    # analyze_Se decides closure and irreducibility once; canonicalize
+    # reuses its decomposition
     try:
-        subgroup, chi_out, sigma = canonicalize(span)
+        decomp = analyze_Se(span)
     except NotIrreducibleError as exc:
         _check(
             report, "classify.build", False, {"dim": span.dim, "enriched_dim": exc.enriched_dim}
         )
         report["result"] = {"verdict": "reducible input"}
         return
-    _check(report, "classify.build", True, {"dim": span.dim, "enriched_dim": amb.dim})
+    built = decomp.enriched_dim == amb.dim
+    _check(
+        report, "classify.build", built, {"dim": span.dim, "enriched_dim": decomp.enriched_dim}
+    )
+    if not built:
+        report["result"] = {"verdict": "reducible input"}
+        return
+    subgroup, chi_out, sigma = canonicalize(span, decomp)
     # canonical: the subgroup is one, and chi is 1 at the representatives,
     # the least points of the cosets
     classes = cosets(amb.group, subgroup) if is_subgroup(amb.group, subgroup) else None

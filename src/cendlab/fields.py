@@ -3,9 +3,12 @@
 Every quantity in this package is an element of a single active field per
 session.  Rational scalars are plain ``Rat`` objects (the compiled kernel
 from ``cendlab._speedups`` when available, ``fractions.Fraction``
-otherwise); cyclotomic scalars are ``CycElem`` with rational coefficients
-reduced modulo the m-th cyclotomic polynomial, so equality of canonical
-forms is exact equality of values.
+otherwise).  Cyclotomic scalars are ``CycElem``: an integer vector of
+coefficients in the power basis 1, zeta, ..., zeta^(phi(m)-1), reduced
+modulo the m-th cyclotomic polynomial, over one positive denominator, in
+lowest terms.  The form is canonical, so equality of forms is exact
+equality of values.  CycElem arithmetic runs on Python ints and does not
+go through ``Rat``, so the compiled kernel speeds up QQ only.
 """
 
 from __future__ import annotations
@@ -47,18 +50,6 @@ def _poly_trim(coeffs):
     while end > 0 and coeffs[end - 1] == 0:
         end -= 1
     return list(coeffs[:end])
-
-
-def _poly_mul_int(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
 
 
 def _poly_divexact_int(a, b):
@@ -165,39 +156,63 @@ QQ = RationalField()
 
 
 class CycElem:
-    """Element of Q(zeta_m) as a coefficient vector of length phi(m)."""
+    """Element of Q(zeta_m): the coefficient of zeta^k is num[k] / den.
 
-    __slots__ = ("field", "coeffs")
+    ``num`` is a tuple of phi(m) ints and ``den`` a positive int, kept in
+    lowest terms (gcd(den, *num) == 1), so the form is canonical and
+    equality of values is equality of (num, den).  Arithmetic runs on the
+    integers alone; ``coeffs``, the rational coefficients, is derived for
+    printing, JSON and hashing.
+    """
 
-    def __init__(self, field, coeffs):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field, num, den=1):
         self.field = field
-        self.coeffs = coeffs  # tuple of Rat, length phi(m)
+        self.num = num  # tuple of int, length phi(m)
+        self.den = den  # positive int
 
-    def _check(self, other):
-        if not isinstance(other, CycElem):
-            raise TypeError
-        if other.field.conductor != self.field.conductor:
+    @property
+    def coeffs(self):
+        den = self.den
+        return tuple(Rat(a, den) for a in self.num)
+
+    def _operand(self, other):
+        # other as an element of this field, or None when it is no scalar
+        if type(other) is not CycElem:
+            if isinstance(other, int):
+                return self.field.scalar(other)
+            if not isinstance(other, CycElem):
+                return None
+        if other.field is not self.field and other.field.conductor != self.field.conductor:
             raise FieldError(
                 f"conductor mismatch: {self.field.conductor} vs {other.field.conductor}"
             )
+        return other
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = self.field.scalar(other)
-        if not isinstance(other, CycElem):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
-        return CycElem(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b = self.den, other.den
+        if a == b:
+            return _lowest(self.field, [x + y for x, y in zip(self.num, other.num)], a)
+        return _lowest(
+            self.field, [x * b + y * a for x, y in zip(self.num, other.num)], a * b
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.field.scalar(other)
-        if not isinstance(other, CycElem):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
-        return CycElem(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b = self.den, other.den
+        if a == b:
+            return _lowest(self.field, [x - y for x, y in zip(self.num, other.num)], a)
+        return _lowest(
+            self.field, [x * b - y * a for x, y in zip(self.num, other.num)], a * b
+        )
 
     def __rsub__(self, other):
         if isinstance(other, int):
@@ -205,24 +220,20 @@ class CycElem:
         return NotImplemented
 
     def __neg__(self):
-        return CycElem(self.field, tuple(-a for a in self.coeffs))
+        return CycElem(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = self.field.scalar(other)
-        if not isinstance(other, CycElem):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
         return self.field._mul(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, int):
-            other = self.field.scalar(other)
-        if not isinstance(other, CycElem):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
         return self.field._mul(self, self.field._inverse(other))
 
     def __rtruediv__(self, other):
@@ -231,14 +242,20 @@ class CycElem:
         return NotImplemented
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.scalar(other)
-        if not isinstance(other, CycElem):
-            return NotImplemented
-        return self.field.conductor == other.field.conductor and self.coeffs == other.coeffs
+        if type(other) is not CycElem:
+            if isinstance(other, int):
+                num = self.num
+                return self.den == 1 and num[0] == other and not any(num[1:])
+            if not isinstance(other, CycElem):
+                return NotImplemented
+        return (
+            self.field.conductor == other.field.conductor
+            and self.num == other.num
+            and self.den == other.den
+        )
 
     def __hash__(self):
         return hash((self.field.conductor, self.coeffs))
@@ -247,122 +264,99 @@ class CycElem:
         return self.field.to_str(self)
 
 
-def _poly_divmod_rat(a, b, zero):
-    # Over the rationals; b nonzero.  Returns (quotient, remainder) as lists.
-    a = list(a)
-    while a and not a[-1]:
-        a.pop()
-    db = len(b) - 1
-    lead = b[-1]
-    q = [zero] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        k = len(a) - 1 - db
-        c = a[-1] / lead
-        q[k] = c
-        for j in range(db + 1):
-            a[k + j] = a[k + j] - c * b[j]
-        while a and not a[-1]:
-            a.pop()
-    return q, a
+def _lowest(field, num, den):
+    """The CycElem num / den in lowest terms with a positive denominator."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [a // g for a in num]
+            den //= g
+    return CycElem(field, tuple(num), den)
 
 
 class CyclotomicField:
-    """The field Q(zeta_m), reduced modulo the m-th cyclotomic polynomial."""
+    """The field Q(zeta_m), reduced modulo the m-th cyclotomic polynomial.
+
+    Phi_m is monic with integer coefficients, so the reductions of x^k
+    modulo Phi_m, and the powers of zeta, are integer vectors; a product
+    of two elements is an integer convolution, the reduction, and one gcd.
+    """
 
     def __init__(self, m: int):
         if m < 1:
             raise FieldError(f"conductor must be positive, got {m}")
         self.conductor = m
-        self.degree = totient(m)
+        d = self.degree = totient(m)
         self.name = f"QQ(zeta_{m})"
-        self._modulus = [Rat(c) for c in cyclotomic_polynomial(m)]
-        # Reductions of x^k for k in [degree, 2*degree - 2] (and always x^degree).
-        d = self.degree
-        red = {}
-        prev = None
-        for k in range(d, max(2 * d - 1, d + 1)):
-            if prev is None:
-                row = [-c for c in self._modulus[:d]]
-            else:
-                row = [Rat(0)] + prev[: d - 1]
-                c = prev[d - 1]
-                if c:
-                    row = [a + c * b for a, b in zip(row, red[d])]
-            # row has length d and represents x^k mod Phi_m
-            red[k] = row
-            prev = row
-        self._reductions = red
-        self.zero = CycElem(self, tuple([Rat(0)] * d))
-        one = [Rat(0)] * d
-        one[0] = Rat(1)
-        self.one = CycElem(self, tuple(one))
+        # the powers x^k reduced modulo Phi_m: x^d = x^d - Phi_m, and each
+        # power is x times the one before; those below m are the powers of zeta
+        top = [-c for c in cyclotomic_polynomial(m)[:d]]
+        powers = [[1] + [0] * (d - 1)]
+        for _ in range(max(m, 2 * d - 1) - 1):
+            prev = powers[-1]
+            c = prev[d - 1]
+            row = [0] + prev[: d - 1]
+            if c:
+                row = [a + c * b for a, b in zip(row, top)]
+            powers.append(row)
+        self._zeta_powers = [tuple(p) for p in powers[:m]]
+        # x^k for k in [d, 2d - 2] as sparse rows (column, entry), the
+        # degrees a product of two reduced elements reaches
+        self._reductions = [
+            (k, [(t, a) for t, a in enumerate(powers[k]) if a])
+            for k in range(2 * d - 2, d - 1, -1)
+        ]
+        # the k of sigma_k (zeta -> zeta^k), the units mod m other than 1;
+        # a times its images under them is the norm of a
+        self._conjugations = [k for k in range(2, m) if math.gcd(k, m) == 1]
+        self.zero = CycElem(self, (0,) * d)
+        self.one = CycElem(self, (1,) + (0,) * (d - 1))
 
     def zeta(self, power: int = 1):
         """zeta_m raised to an integer power, reduced to canonical form."""
-        d = self.degree
-        k = power % self.conductor
-        coeffs = [Rat(0)] * d
-        coeffs[0] = Rat(1)
-        red = self._reductions[d]
-        for _ in range(k):
-            top = coeffs[d - 1]
-            coeffs = [Rat(0)] + coeffs[: d - 1]
-            if top:
-                coeffs = [a + top * b for a, b in zip(coeffs, red)]
-        return CycElem(self, tuple(coeffs))
+        return CycElem(self, self._zeta_powers[power % self.conductor])
 
-    def _mul(self, a: CycElem, b: CycElem) -> CycElem:
+    def _mul_num(self, a, b):
+        # integer product of two numerator vectors, reduced modulo Phi_m
         d = self.degree
-        prod = [Rat(0)] * (2 * d - 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    prod[i + j] = prod[i + j] + x * y
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
         out = prod[:d]
-        for k in range(2 * d - 2, d - 1, -1):
+        for k, row in self._reductions:
             c = prod[k]
             if c:
-                row = self._reductions[k]
-                out = [acc + c * r for acc, r in zip(out, row)]
-        return CycElem(self, tuple(out))
+                for t, r in row:
+                    out[t] += c * r
+        return out
+
+    def _mul(self, a: CycElem, b: CycElem) -> CycElem:
+        return _lowest(self, self._mul_num(a.num, b.num), a.den * b.den)
 
     def _inverse(self, a: CycElem) -> CycElem:
+        """a^-1 = den * P / N(num), where P is the product of the Galois
+        conjugates sigma_k(num), k a unit mod m other than 1, and the norm
+        N(num) = P * num is a nonzero rational integer."""
         if not a:
             raise ZeroDivisionError("division by zero")
-        # Extended Euclid on (a, Phi_m); the gcd is a nonzero constant since
-        # the modulus is irreducible over Q.
-        zero, one = Rat(0), Rat(1)
-        r0 = list(self._modulus)
-        r1 = [c for c in a.coeffs]
-        while r1 and not r1[-1]:
-            r1.pop()
-        s0, s1 = [zero], [one]
-        while True:
-            q, r = _poly_divmod_rat(r0, r1, zero)
-            if not r:
-                break
-            qs1 = [zero] * (len(q) + len(s1) - 1)
-            for i, x in enumerate(q):
+        m, d = self.conductor, self.degree
+        powers = self._zeta_powers
+        prod = [1] + [0] * (d - 1)
+        for k in self._conjugations:
+            conj = [0] * d
+            for i, x in enumerate(a.num):
                 if x:
-                    for j, y in enumerate(s1):
-                        if y:
-                            qs1[i + j] = qs1[i + j] + x * y
-            s = [
-                (s0[i] if i < len(s0) else zero) - (qs1[i] if i < len(qs1) else zero)
-                for i in range(max(len(s0), len(qs1)))
-            ]
-            r0, r1 = r1, r
-            s0, s1 = s1, s
-        if len(r1) != 1:
-            raise FieldError("modulus is not irreducible; cannot invert")
-        c = r1[0]
-        d = self.degree
-        # Bezout bound: deg s1 <= phi(m) - deg(last nonconstant remainder)
-        # < phi(m) = d, so s1 is already reduced modulo Phi_m.
-        inv = [x / c for x in s1] + [zero] * (d - len(s1))
-        return CycElem(self, tuple(inv))
+                    for t, z in enumerate(powers[i * k % m]):
+                        conj[t] += x * z
+            prod = self._mul_num(prod, conj)
+        norm = self._mul_num(prod, a.num)
+        if any(norm[1:]) or not norm[0]:
+            raise FieldError("norm is not a nonzero rational; cannot invert")
+        return _lowest(self, [a.den * x for x in prod], norm[0])
 
     def scalar(self, x):
         d = self.degree
@@ -372,18 +366,15 @@ class CyclotomicField:
                     f"conductor mismatch: {x.field.conductor} vs {self.conductor}"
                 )
             return x
-        if isinstance(x, (int, Fraction, Rat)):
-            coeffs = [Rat(0)] * d
-            coeffs[0] = QQ.scalar(x)
-            return CycElem(self, tuple(coeffs))
-        if isinstance(x, str):
-            coeffs = [Rat(0)] * d
-            coeffs[0] = _parse_rational_str(x)
-            return CycElem(self, tuple(coeffs))
+        if isinstance(x, (int, Fraction, Rat, str)):
+            q = QQ.scalar(x)
+            return CycElem(self, (q.numerator,) + (0,) * (d - 1), q.denominator)
         if isinstance(x, (list, tuple)):
             if len(x) != d:
                 raise FieldError(f"need {d} coefficients, got {len(x)}")
-            return CycElem(self, tuple(QQ.scalar(c) for c in x))
+            qs = [QQ.scalar(c) for c in x]
+            den = math.lcm(*(q.denominator for q in qs))
+            return _lowest(self, [q.numerator * (den // q.denominator) for q in qs], den)
         raise FieldError(f"cannot coerce {x!r} into {self.name}")
 
     def is_element(self, x) -> bool:

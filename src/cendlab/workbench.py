@@ -644,37 +644,48 @@ def is_irreducible(C: SubSpan) -> IrreducibilityResult:
 
 
 def _right_step_products(amb: Ambient, elem: DiffElem):
-    """All products elem o_gamma (basis element), using the support deltas."""
+    """All products elem o_gamma (basis element), using the support deltas.
+
+    A product m1 E_(i2, j2) with a matrix unit has one nonzero column, j2,
+    which is column i2 of m1; it is built as such, and skipped when that
+    column is zero."""
     group, n = amb.group, amb.n
+    zero = amb.field.zero
     out = []
     for (g1, w1), m1 in elem.comps.items():
         # the product at gamma = g1^-1 is the only nonzero one, and the
         # middle slot of the right factor is forced by the delta
+        prods = [
+            [Mat([[c if j == j2 else zero for j in range(n)] for c in col]) for j2 in range(n)]
+            for col in zip(*m1.rows)
+            if any(col)
+        ]
         for g2 in group.elements():
             first = group.mul(g1, g2)
-            for i2 in range(n):
-                for j2 in range(n):
-                    unit = Mat.unit(n, n, i2, j2, amb.field)
-                    prod = m1 * unit
-                    if not prod.is_zero():
-                        out.append(DiffElem(amb, {(first, w1): prod}))
+            for mats in prods:
+                for prod in mats:
+                    out.append(DiffElem(amb, {(first, w1): prod}))
     return out
 
 
 def _left_step_products(amb: Ambient, elem: DiffElem):
+    """All products (basis element) o_gamma elem.  A product E_(i1, j1) m2
+    has one nonzero row, i1, which is row j1 of m2."""
     group, gset, n = amb.group, amb.gset, amb.n
+    zero_row = (amb.field.zero,) * n
     out = []
     for (g2, w2), m2 in elem.comps.items():
+        prods = [
+            [Mat([row if i == i1 else zero_row for i in range(n)]) for row in m2.rows if any(row)]
+            for i1 in range(n)
+        ]
         for gamma in group.elements():
             ginv = group.inv(gamma)
             w1 = gset.act(ginv, w2)
             first = group.mul(ginv, g2)
-            for i1 in range(n):
-                for j1 in range(n):
-                    unit = Mat.unit(n, n, i1, j1, amb.field)
-                    prod = unit * m2
-                    if not prod.is_zero():
-                        out.append(DiffElem(amb, {(first, w1): prod}))
+            for mats in prods:
+                for prod in mats:
+                    out.append(DiffElem(amb, {(first, w1): prod}))
     return out
 
 

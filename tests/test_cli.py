@@ -358,8 +358,8 @@ def test_canonical_check_reads_the_subgroup_and_chi(tmp_path, monkeypatch, break
 
     real = cendlab.cli.canonicalize
 
-    def broken(span):
-        subgroup, chi, sigma = real(span)
+    def broken(span, decomp=None):
+        subgroup, chi, sigma = real(span, decomp)
         if breakage == "not-a-subgroup":
             return (0, 1), chi, sigma
         values = [list(row) for row in chi.values]
@@ -371,3 +371,44 @@ def test_canonical_check_reads_the_subgroup_and_chi(tmp_path, monkeypatch, break
     assert code == 1
     assert failed_checks(report) == ["classify.canonical"]
     assert report["result"] == {"verdict": "not canonical"}
+
+
+def test_build_check_reads_the_enriched_dimension(tmp_path, monkeypatch):
+    # an analysis whose enrichment is proper fails classify.build, and the
+    # job stops before canonicalize
+    import cendlab.cli
+
+    real = cendlab.cli.analyze_Se
+
+    def broken(span):
+        decomp = real(span)
+        key = min(decomp.ranks)
+        decomp.ranks[key] -= 1
+        return decomp
+
+    monkeypatch.setattr(cendlab.cli, "analyze_Se", broken)
+    code, report = run_main_on_golden(tmp_path, "classify_subgroup_c4")
+    assert code == 1
+    assert failed_checks(report) == ["classify.build"]
+    # C4 at n = 1: a span of dimension 8 in an algebra of dimension 16
+    assert report["checks"][-1]["detail"] == {"dim": 8, "enriched_dim": 15}
+    assert report["result"] == {"verdict": "reducible input"}
+
+
+@pytest.mark.parametrize("name", ["classify_subgroup_c4", "classify_cyclotomic_c4"])
+def test_classify_grades_the_span_once(tmp_path, monkeypatch, name):
+    # classify.build reads the decomposition canonicalize uses; the span is
+    # not graded a second time
+    import cendlab.classify
+
+    calls = []
+    real = cendlab.classify.grading
+
+    def counted(span):
+        calls.append(span.dim)
+        return real(span)
+
+    monkeypatch.setattr(cendlab.classify, "grading", counted)
+    code, report = run_main_on_golden(tmp_path, name)
+    assert code == 0
+    assert len(calls) == 1

@@ -1,3 +1,7 @@
+import json
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +11,7 @@ from cendlab.fields import (
     QQ,
     cyclotomic_polynomial,
     field_from_spec,
+    format_rational,
     scalar_arithmetic,
     totient,
 )
@@ -142,3 +147,154 @@ def test_cyclotomic_field_axioms_across_conductors(data):
     else:
         with pytest.raises(ZeroDivisionError):
             F.one / a
+
+
+# ---------------------------------------------------------------------------
+# the Fraction-tuple oracle
+#
+# Before its elements became integer vectors over one denominator,
+# CyclotomicField kept each element as a tuple of Fraction coefficients,
+# multiplied by reducing with Fraction rows of x^k mod Phi_m, and inverted
+# by the extended Euclid algorithm on (a, Phi_m) over Q.  That arithmetic is
+# kept here as the oracle of the integer one.
+
+
+def _oracle_divmod(a, b):
+    # (quotient, remainder) of Fraction polynomials, b nonzero
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    db = len(b) - 1
+    q = [Fraction(0)] * max(len(a) - db, 0)
+    while len(a) - 1 >= db and a:
+        k = len(a) - 1 - db
+        c = a[-1] / b[-1]
+        q[k] = c
+        for j in range(db + 1):
+            a[k + j] -= c * b[j]
+        while a and not a[-1]:
+            a.pop()
+    return q, a
+
+
+class OracleCyclotomic:
+    def __init__(self, m):
+        self.m = m
+        self.d = d = totient(m)
+        self.modulus = [Fraction(c) for c in cyclotomic_polynomial(m)]
+        self.red = {}
+        prev = None
+        for k in range(d, max(2 * d - 1, d + 1)):
+            if prev is None:
+                row = [-c for c in self.modulus[:d]]
+            else:
+                row = [Fraction(0)] + prev[: d - 1]
+                if prev[d - 1]:
+                    row = [a + prev[d - 1] * b for a, b in zip(row, self.red[d])]
+            self.red[k] = prev = row
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x for x in a)
+
+    def mul(self, a, b):
+        d = self.d
+        prod = [Fraction(0)] * (2 * d - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        out = prod[:d]
+        for k in range(2 * d - 2, d - 1, -1):
+            out = [acc + prod[k] * r for acc, r in zip(out, self.red[k])]
+        return tuple(out)
+
+    def inverse(self, a):
+        zero, one = Fraction(0), Fraction(1)
+        r0 = list(self.modulus)
+        r1 = list(a)
+        while r1 and not r1[-1]:
+            r1.pop()
+        s0, s1 = [zero], [one]
+        while True:
+            q, r = _oracle_divmod(r0, r1)
+            if not r:
+                break
+            qs1 = [zero] * (len(q) + len(s1) - 1)
+            for i, x in enumerate(q):
+                for j, y in enumerate(s1):
+                    qs1[i + j] += x * y
+            s = [
+                (s0[i] if i < len(s0) else zero) - (qs1[i] if i < len(qs1) else zero)
+                for i in range(max(len(s0), len(qs1)))
+            ]
+            r0, r1 = r1, r
+            s0, s1 = s1, s
+        assert len(r1) == 1
+        return tuple([x / r1[0] for x in s1] + [zero] * (self.d - len(s1)))
+
+    def to_json(self, a):
+        return {"m": self.m, "coeffs": [format_rational(c) for c in a]}
+
+
+def as_fractions(x):
+    # the value of a CycElem read from its integer form alone
+    return tuple(Fraction(a, x.den) for a in x.num)
+
+
+def assert_canonical(x, F):
+    assert x.field.conductor == F.conductor
+    assert len(x.num) == F.degree
+    assert all(type(a) is int for a in x.num) and type(x.den) is int
+    assert x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+
+
+ORACLE_CONDUCTORS = [1, 2, 3, 4, 5, 8, 12]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_integer_cyclotomics_match_the_fraction_oracle(data):
+    m = data.draw(st.sampled_from(ORACLE_CONDUCTORS), label="m")
+    F, O = CyclotomicField(m), OracleCyclotomic(m)
+    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    coeffs = st.lists(coeff, min_size=F.degree, max_size=F.degree)
+    xa = data.draw(coeffs, label="a")
+    xb = data.draw(st.one_of(coeffs, st.just(xa), st.just([-c for c in xa])), label="b")
+    k = data.draw(st.integers(-6, 6), label="k")
+    a, b = F.scalar(xa), F.scalar(xb)
+    oa, ob = tuple(xa), tuple(xb)
+    results = [
+        (a, oa),
+        (b, ob),
+        (a + b, O.add(oa, ob)),
+        (a - b, O.sub(oa, ob)),
+        (-a, O.neg(oa)),
+        (a * b, O.mul(oa, ob)),
+        (a * k, O.mul(oa, (Fraction(k),) + (Fraction(0),) * (F.degree - 1))),
+        (k - a, O.sub((Fraction(k),) + (Fraction(0),) * (F.degree - 1), oa)),
+    ]
+    if a:
+        results.append((F.one / a, O.inverse(oa)))
+        results.append((b / a, O.mul(ob, O.inverse(oa))))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            b / a
+    for x, ox in results:
+        assert_canonical(x, F)
+        assert as_fractions(x) == ox
+        assert x.coeffs == ox
+        assert hash(x) == hash((m, ox))
+        assert F.to_json(x) == O.to_json(ox)
+        text = json.dumps(F.to_json(x))
+        back = F.from_json(json.loads(text))
+        assert back == x and hash(back) == hash(x)
+        assert_canonical(back, F)
+    assert (a == b) == (oa == ob)
+    assert (a != b) == (oa != ob)
+    assert bool(a) == any(oa)
