@@ -131,22 +131,32 @@ def validate_chi(group, subgroup_ids, chi: ChiFunction):
 
 def chi_span(group, subgroup_ids, chi: ChiFunction, n, field) -> SubSpan:
     """The span determined by (G1, chi) without any validity check; the
-    canonical basis element for (g, coset K, i, j) is
-    sum_{a in K} chi(g, a) T_g (x) T_a (x) e_ij."""
+    basis element for (g, coset K, i, j) is
+    sum_{a in K} chi(g, a) T_g (x) T_a (x) e_ij.  The elements have disjoint
+    supports, so scaled to 1 at their pivots they are the canonical rows."""
     amb = Ambient(group, n, field=field)
     cos = cosets(group, subgroup_ids)
-    elems = []
+    n2 = n * n
+    block = amb.gset.size * n2
+    rows = []
     for g in group.elements():
-        for coset in cos:
-            for i in range(n):
-                for j in range(n):
-                    comps = {}
-                    for alpha in coset:
-                        comps[(g, alpha)] = Mat.unit(n, n, i, j, field).scale(
-                            chi.value(g, alpha)
-                        )
-                    elems.append(DiffElem(amb, comps))
-    return SubSpan.from_elems(amb, elems)
+        rows.extend(_component_rows(chi.values[g], cos, n2, field.one, g * block))
+    return SubSpan(amb, SubspaceBasis(amb.dim, rows, [min(row) for row in rows]))
+
+
+def _component_rows(values, classes, n2, one, base=0):
+    """Canonical rows of one first-slot component T_g of the span of (G1,
+    chi), from the value chi(g, a) at every point a: for each class K, in
+    the order of its least point, and each matrix position t, the row
+    sum_{a in K} chi(g, a) e_(a, t) scaled to 1 at its pivot (min K, t).
+    Coordinates are offset by ``base``."""
+    rows = []
+    for cls in classes:
+        inv = one / values[cls[0]]
+        scaled = [(a * n2, values[a] * inv) for a in cls]
+        for t in range(n2):
+            rows.append({base + at + t: v for at, v in scaled})
+    return rows
 
 
 def build_C(group, subgroup_ids, chi: ChiFunction, n, field) -> SubSpan:
@@ -260,31 +270,25 @@ def _block_supported(amb: Ambient, basis: SubspaceBasis, cls) -> SubspaceBasis:
 
 class ConfAutomorphism:
     """Family of bijective linear maps sigma_{g,a} on M_n(k) acting slotwise
-    on the algebra; built from a family of invertible conjugators U_a via
-    sigma_{g,a}(m) = U_a^-1 m U_{g^-1 a}."""
+    on the algebra, held as its invertible conjugators U_a, one per point,
+    and their inverses: sigma_{g,a}(m) = U_a^-1 m U_{g^-1 a}."""
 
-    __slots__ = ("ambient", "us", "maps")
+    __slots__ = ("ambient", "us", "invs")
 
-    def __init__(self, ambient: Ambient, maps, us=None):
+    def __init__(self, ambient: Ambient, us, invs):
         self.ambient = ambient
-        self.maps = maps  # dict (g, alpha) -> Mat n^2 x n^2 on vec(m)
         self.us = us
+        self.invs = invs
 
     @classmethod
     def identity(cls, ambient: Ambient) -> "ConfAutomorphism":
-        n2 = ambient.n * ambient.n
-        ident = Mat.identity(n2, ambient.field)
-        maps = {
-            (g, a): ident
-            for g in ambient.group.elements()
-            for a in ambient.gset.points()
-        }
         us = [Mat.identity(ambient.n, ambient.field)] * ambient.gset.size
-        return cls(ambient, maps, us)
+        return cls(ambient, us, us)
 
     def apply_mat(self, g, alpha, m: Mat) -> Mat:
-        n = self.ambient.n
-        return Mat.from_flat(self.maps[(g, alpha)].apply(m.flatten()), n, n)
+        amb = self.ambient
+        target = amb.gset.act(amb.group.inv(g), alpha)
+        return self.invs[alpha] * m * self.us[target]
 
     def apply_elem(self, x: DiffElem) -> DiffElem:
         out = {}
@@ -302,7 +306,6 @@ def build_sigma(u_family, amb: Ambient) -> ConfAutomorphism:
     is not re-checked here; ``sigma_condition_witness`` and
     ``sigma_preserves_products`` are the independent checks of it.
     """
-    group = amb.group
     n = amb.n
     us = []
     invs = []
@@ -316,22 +319,7 @@ def build_sigma(u_family, amb: Ambient) -> ConfAutomorphism:
         us.append(u)
     if len(us) != amb.gset.size:
         raise ClassifyError("need one conjugator per point")
-    maps = {}
-    for g in group.elements():
-        ginv = group.inv(g)
-        for alpha in amb.gset.points():
-            target = amb.gset.act(ginv, alpha)
-            left, right = invs[alpha], us[target]
-            cols = []
-            for p in range(n):
-                for q in range(n):
-                    img = left * Mat.unit(n, n, p, q, amb.field) * right
-                    cols.append(img.flatten())
-            # columns indexed by source unit; build the matrix acting on vec
-            n2 = n * n
-            rows = [[cols[src][dst] for src in range(n2)] for dst in range(n2)]
-            maps[(g, alpha)] = Mat(rows)
-    return ConfAutomorphism(amb, maps, us)
+    return ConfAutomorphism(amb, us, invs)
 
 
 def sigma_condition_witness(sigma: ConfAutomorphism):
@@ -389,75 +377,37 @@ def apply_automorphism(sigma: ConfAutomorphism, C: SubSpan) -> SubSpan:
 def extract_chi(decomp: GradedDecomposition, C: SubSpan) -> ChiFunction:
     """Read the scalar table off a normalized irreducible subalgebra.
 
-    Requires the identity component to be exactly the span of the coset
-    indicators tensored with full matrix blocks (i.e. all per-point maps
-    already straightened); the value at (g, gamma) is the entrywise ratio
-    between the gamma block and the representative block, which is forced
-    to be 1 at the representatives themselves.
+    Requires every first-slot component S_g to be in the canonical form of
+    the span of (G1, chi), i.e. all per-point maps already straightened:
+    chi(g, gamma) is the entry at (gamma, 0) of the row of S_g whose pivot
+    is (rep, 0), so it is 1 at the representatives, and at g = e it must be
+    1 everywhere.  Each S_g is then compared with the rows rebuilt from the
+    values read; any other component raises NonScalarError.
     """
     amb = C.ambient
     group = amb.group
-    n = amb.n
-    n2 = n * n
+    n2 = amb.n * amb.n
+    one = amb.field.one
     if decomp.classes is None:
         raise ClassifyError("need the analyzed decomposition, not just the grading")
-    normalized = _coset_indicator_span(amb, decomp.classes)
-    if decomp.components[0] != normalized:
-        raise NonScalarError(
-            "identity component is not the straightened coset-indicator span"
-        )
-    values = [[None] * group.order for _ in group.elements()]
-    one, zero = amb.field.one, amb.field.zero
+    values = []
     for g in group.elements():
         comp = decomp.components[g]
-        for k, cls in enumerate(decomp.classes):
-            rep = decomp.reps[k]
-            block = _block_supported(amb, comp, cls)
-            if block.dim != n2:
-                raise NonScalarError(
-                    f"component at g={g} over class {k} has dimension {block.dim}"
-                )
+        row_values = [None] * group.order
+        for cls in decomp.classes:
+            row = comp.index.get(cls[0] * n2, {})
             for gamma in cls:
-                if gamma == rep:
-                    values[g][gamma] = one
-                    continue
-                ratio = None
-                for row in block.srows:
-                    rep_piece = [row.get(rep * n2 + t, zero) for t in range(n2)]
-                    gam_piece = [row.get(gamma * n2 + t, zero) for t in range(n2)]
-                    if ratio is None:
-                        for t in range(n2):
-                            if rep_piece[t]:
-                                ratio = gam_piece[t] / rep_piece[t]
-                                break
-                        if ratio is None:
-                            if any(gam_piece):
-                                raise NonScalarError(
-                                    f"no scalar ratio at (g={g}, gamma={gamma})"
-                                )
-                            continue
-                    for t in range(n2):
-                        if gam_piece[t] != ratio * rep_piece[t]:
-                            raise NonScalarError(
-                                f"non-scalar relation at (g={g}, gamma={gamma})"
-                            )
-                if ratio is None or not ratio:
-                    raise NonScalarError(f"degenerate block at (g={g}, gamma={gamma})")
-                values[g][gamma] = ratio
+                row_values[gamma] = row.get(gamma * n2)
+        if None in row_values or (g == 0 and any(v != one for v in row_values)):
+            raise NonScalarError(f"component at g={g} is not straightened")
+        if list(comp.srows) != _component_rows(row_values, decomp.classes, n2, one):
+            raise NonScalarError(f"component at g={g} is not scalar over the classes")
+        values.append(row_values)
     chi = ChiFunction(group, values)
     ok, witness = validate_chi(group, decomp.subgroup, chi)
     if not ok:
         raise ClassifyError(f"extracted table fails validation: {witness}")
     return chi
-
-
-def _coset_indicator_span(amb: Ambient, classes) -> SubspaceBasis:
-    n = amb.n
-    n2 = n * n
-    block = amb.gset.size * n2
-    one = amb.field.one
-    vectors = [{gamma * n2 + t: one for gamma in cls} for cls in classes for t in range(n2)]
-    return SubspaceBasis.from_vectors(block, vectors)
 
 
 def canonicalize(C: SubSpan, decomp: GradedDecomposition | None = None):

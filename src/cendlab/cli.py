@@ -5,7 +5,8 @@ runs driven by a JSON job file.
 
 Commands: axioms, hopf, phi, wn, irreducible, ideal, simple, classify,
 weyl, operad.  Exit codes: 0 all checks passed (or a decision was
-reached), 1 a mathematical counterexample was found, 2 malformed input.
+reached), 1 a mathematical counterexample was found, 2 malformed input,
+3 a broken internal invariant (the message names it).
 The environment variable CENDLAB_FIELD ("rational" or "cyclotomic:m")
 overrides the job's field spec.
 """
@@ -21,6 +22,7 @@ from . import jsonio
 from .checks import CHECK_MANIFEST
 from .classify import (
     ChiFunction,
+    ClassifyError,
     InvalidChiError,
     NotIrreducibleError,
     analyze_Se,
@@ -31,6 +33,7 @@ from .classify import (
 from .conformal import Ambient, cend, check_axioms, check_axioms_exhaustive_basis, diff_product
 from .fields import FieldError, field_from_spec
 from .groups import GroupError, cosets, is_subgroup, is_transitive, make_group, make_gset
+from .linalg import LinAlgError
 from .hopf import coaction_report, hopf_axiom_report
 from .weyl import WeylElem, module_compat_witness, weyl_algebra_relation, weyl_nprod
 from .operad import (
@@ -66,6 +69,11 @@ from .workbench import (
 
 class JobError(ValueError):
     pass
+
+
+class InternalError(RuntimeError):
+    """A broken internal invariant, named in the message; never an input
+    error."""
 
 
 def _check(report, check_id, passed, detail=None):
@@ -368,7 +376,12 @@ def run_classify(job, report):
     if not built:
         report["result"] = {"verdict": "reducible input"}
         return
-    subgroup, chi_out, sigma = canonicalize(span, decomp)
+    # analyze_Se accepted the span, so canonicalize failing on it is a
+    # broken invariant, not bad input
+    try:
+        subgroup, chi_out, sigma = canonicalize(span, decomp)
+    except (ClassifyError, LinAlgError) as exc:
+        raise InternalError(f"classify.canonical: {exc}") from exc
     # canonical: the subgroup is one, and chi is 1 at the representatives,
     # the least points of the cosets
     classes = cosets(amb.group, subgroup) if is_subgroup(amb.group, subgroup) else None
@@ -384,9 +397,7 @@ def run_classify(job, report):
         "subgroup": list(subgroup),
         "cosets": [list(c) for c in classes],
         "chi": jsonio.chi_to_json(chi_out, amb.field),
-        "sigma_conjugators": [
-            jsonio.mat_to_json(u, amb.field) for u in (sigma.us or [])
-        ],
+        "sigma_conjugators": [jsonio.mat_to_json(u, amb.field) for u in sigma.us],
     }
 
 
@@ -597,6 +608,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -136,13 +136,6 @@ def chi_from_json(group: FiniteGroup, obj, field) -> ChiFunction:
 
 
 def sigma_to_json(sigma: ConfAutomorphism, field):
-    if sigma.us is None:
-        return {
-            "maps": {
-                f"{g},{a}": mat_to_json(m, field)
-                for (g, a), m in sorted(sigma.maps.items())
-            }
-        }
     return {"conjugators": [mat_to_json(u, field) for u in sigma.us]}
 
 

@@ -251,44 +251,31 @@ def fourier_span(span: SubSpan, inverse=False) -> SubSpan:
 # spans of evaluation operators
 
 
-def wn_span(C: SubSpan, raw: bool = False) -> SubspaceBasis:
+def wn_span(C: SubSpan) -> SubspaceBasis:
     """Span of all evaluation operators of elements of C, inside End M.
 
     For a genuine subalgebra the span is already closed under composition
     (the composition law moves a product of evaluations to an evaluation of
-    a product), so the plain span is returned after the closure check; pass
-    ``raw=True`` to skip the check and force the full multiplicative
-    closure of the generators instead.
+    a product), so the plain span is returned after the closure check; any
+    other span is refused with WorkbenchError.
     """
     amb = C.ambient
-    vectors = [evaluate(e, z).entries() for e in C.basis_elems() for z in evaluation_points(e)]
-    if raw:
-        return _composition_closure(amb, vectors)
     witness = subalgebra_closure_witness(C)
     if witness is not None:
-        raise WorkbenchError(
-            f"span is not closed under the products ({witness}); use raw=True"
-        )
+        raise WorkbenchError(f"span is not closed under the products ({witness})")
+    vectors = [evaluate(e, z).entries() for e in C.basis_elems() for z in evaluation_points(e)]
     return SubspaceBasis.from_vectors(amb.module_dim ** 2, vectors)
 
 
-def operator_algebra(C: SubSpan, include_gamma: bool = True) -> SubspaceBasis:
-    """Unital algebra generated by the evaluations of C (and the
-    multiplication operators when ``include_gamma``), by closing the span
-    under composition.  This is the independent, operator-side route to the
-    irreducibility decisions."""
+def operator_algebra(C: SubSpan) -> SubspaceBasis:
+    """Unital algebra generated by the evaluations of C and the
+    multiplication operators (which sum to the identity), by closing the
+    span under composition; the products are block products.  This is the
+    independent, operator-side route to the irreducibility decisions."""
     amb = C.ambient
-    seeds = [gamma_op([amb.field.one] * amb.gset.size, amb).entries()]
-    if include_gamma:
-        seeds += [gamma_op(_point_fn(amb, w), amb).entries() for w in amb.gset.points()]
-    seeds += [evaluate(e, z).entries() for e in C.basis_elems() for z in amb.group.elements()]
-    return _composition_closure(amb, seeds)
-
-
-def _composition_closure(amb: Ambient, seeds) -> SubspaceBasis:
-    """Span of operators on M, as flattened vectors, closed under
-    composition; the products are block products."""
     size, n = amb.gset.size, amb.n
+    seeds = [gamma_op(_point_fn(amb, w), amb).entries() for w in amb.gset.points()]
+    seeds += [evaluate(e, z).entries() for e in C.basis_elems() for z in amb.group.elements()]
 
     def compose(v, w):
         left = BlockOp.from_entries(size, n, sparse(v))
@@ -767,7 +754,9 @@ def ideal_shape(B: SubSpan, side: str) -> SubspaceBasis:
 
 def mn_a_left_ideal_closure(amb: Ambient, gens_vectors) -> SubspaceBasis:
     """Left-ideal closure inside M_n(A): close under left multiplication by
-    the basis T_w (x) e_ij (pointwise in the A slot)."""
+    the basis T_w (x) e_ij (pointwise in the A slot).  A product e_ij m has
+    one nonzero row, i, which is row j of m; it is built as such, and
+    skipped when that row is zero."""
     n = amb.n
     block = n * n
     zero = amb.field.zero
@@ -779,11 +768,11 @@ def mn_a_left_ideal_closure(amb: Ambient, gens_vectors) -> SubspaceBasis:
             if v is None:
                 continue
             for w, piece in sorted(dense_blocks(v, block, zero).items()):
-                m = Mat.from_flat(piece, n, n)
+                rows = [piece[j * n : (j + 1) * n] for j in range(n)]
                 for i in range(n):
-                    for j in range(n):
-                        prod = (Mat.unit(n, n, i, j, amb.field) * m).flatten()
-                        vec = {w * block + t: a for t, a in enumerate(prod) if a}
+                    base = w * block + i * n
+                    for row in rows:
+                        vec = {base + c: a for c, a in enumerate(row) if a}
                         if vec:
                             produced.append(vec)
         work = produced

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cendlab.fields import QQ, CyclotomicField
 from cendlab.groups import cyclic_group, cosets, subgroups, symmetric_group, trivial_gset
@@ -23,9 +24,9 @@ from cendlab.classify import (
     theta_bridge,
     validate_chi,
 )
-from cendlab.workbench import WorkbenchError, evaluate, is_irreducible
+from cendlab.workbench import WorkbenchError, _first_slot_components, evaluate, is_irreducible
 
-from conftest import pairwise_product_rule, rand_invertible
+from conftest import TARGET_GROUPS, pairwise_product_rule, rand_invertible
 
 
 def q(x):
@@ -68,6 +69,46 @@ def test_chi_rejects_zero_values():
     g = cyclic_group(2)
     with pytest.raises(ClassifyError):
         ChiFunction(g, [[q(1), q(0)], [q(1), q(1)]])
+
+
+ZETA4 = CyclotomicField(4)
+
+
+def nonzero_scalars(field):
+    if field is QQ:
+        return st.integers(-3, 3).filter(bool).map(QQ.scalar)
+    coeffs = st.lists(st.integers(-2, 2), min_size=field.degree, max_size=field.degree)
+    return coeffs.filter(any).map(field.scalar)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_chi_span_matches_its_elements(data):
+    # chi_span writes the canonical rows down directly; the oracle spans the
+    # explicit elements sum_{a in K} chi(g, a) T_g (x) T_a (x) e_ij through
+    # elimination.  The table need not be valid: chi_span does not check it.
+    field = data.draw(st.sampled_from([QQ, ZETA4]))
+    group = TARGET_GROUPS[data.draw(st.sampled_from(["C4", "C2xC2", "S3", "D4"]))]
+    n = data.draw(st.integers(1, 2))
+    sub = data.draw(st.sampled_from(subgroups(group)))
+    order = group.order
+    row = st.lists(nonzero_scalars(field), min_size=order, max_size=order)
+    chi = ChiFunction(group, data.draw(st.lists(row, min_size=order, max_size=order)))
+    amb = Ambient(group, n, field=field)
+    elems = [
+        DiffElem(
+            amb,
+            {(g, a): Mat.unit(n, n, i, j, field).scale(chi.value(g, a)) for a in coset},
+        )
+        for g in group.elements()
+        for coset in cosets(group, sub)
+        for i in range(n)
+        for j in range(n)
+    ]
+    oracle = SubSpan.from_elems(amb, elems)
+    span = chi_span(group, sub, chi, n, field)
+    assert span == oracle
+    assert span.basis.pivots == oracle.basis.pivots
 
 
 def test_build_trivial_subgroup_gives_everything():
@@ -300,6 +341,29 @@ def test_extract_chi_rejects_unnormalized():
     sigma = build_sigma([Mat.identity(2, QQ), u], amb)
     C = apply_automorphism(sigma, cur(g, 2))
     d = analyze_Se(C)
+    with pytest.raises(NonScalarError):
+        extract_chi(d, C)
+
+
+def test_extract_chi_rejects_a_non_scalar_off_identity_component():
+    # the identity component is straightened, but in the component at g = 1
+    # one matrix position carries 2 instead of 1 at point 3 of the coset
+    # {1, 3}: the values read at position 0 are all 1, the rows rebuilt from
+    # them disagree with that component
+    g = cyclic_group(4)
+    amb = Ambient(g, 2)
+    C = build_C(g, (0, 2), ChiFunction.constant_one(g, QQ), 2, QQ)
+    d = analyze_Se(C)
+    skewed = []
+    for e in C.basis_elems():
+        comps = dict(e.comps)
+        if (1, 3) in comps and comps[(1, 3)] == Mat.unit(2, 2, 0, 1, QQ):
+            comps[(1, 3)] = comps[(1, 3)].scale(q(2))
+        skewed.append(DiffElem(amb, comps))
+    component = _first_slot_components(SubSpan.from_elems(amb, skewed))[1]
+    assert component != d.components[1] and component.dim == d.components[1].dim
+    assert extract_chi(d, C) == ChiFunction.constant_one(g, QQ)
+    d.components[1] = component
     with pytest.raises(NonScalarError):
         extract_chi(d, C)
 

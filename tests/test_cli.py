@@ -395,6 +395,27 @@ def test_build_check_reads_the_enriched_dimension(tmp_path, monkeypatch):
     assert report["result"] == {"verdict": "reducible input"}
 
 
+def test_broken_invariant_of_canonicalize_exits_3(tmp_path, monkeypatch, capsys):
+    # analyze_Se has accepted the span, so canonicalize failing on it is a
+    # broken internal invariant: exit 3 with the invariant named, no report,
+    # and not the input error of exit 2
+    from pathlib import Path
+
+    import cendlab.classify
+    from cendlab.cli import main
+
+    def broken(decomp, C):
+        raise cendlab.classify.NonScalarError("planted")
+
+    monkeypatch.setattr(cendlab.classify, "extract_chi", broken)
+    job_path = Path(__file__).parent / "golden" / "classify_subgroup_c4.job.json"
+    out_path = tmp_path / "report.json"
+    code = main(["classify", "--input", str(job_path), "--output", str(out_path)])
+    assert code == 3
+    assert capsys.readouterr().err == "internal error: classify.canonical: planted\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("name", ["classify_subgroup_c4", "classify_cyclotomic_c4"])
 def test_classify_grades_the_span_once(tmp_path, monkeypatch, name):
     # classify.build reads the decomposition canonicalize uses; the span is

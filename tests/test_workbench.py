@@ -202,15 +202,10 @@ def test_wn_span_dimensions(c2_amb):
     assert wn_span(cur(cyclic_group(2), 1)).dim == 2
 
 
-def test_wn_raw_mode(c2_amb):
+def test_wn_refuses_non_closed_span(c2_amb):
     gens = SubSpan.from_elems(c2_amb, [c2_amb.basis_elem(0, 0, 0, 0) + c2_amb.basis_elem(1, 1, 0, 0)])
     with pytest.raises(WorkbenchError):
         wn_span(gens)
-    raw = wn_span(gens, raw=True)
-    for v in raw.rows:
-        for w in raw.rows:
-            prod = Mat.from_flat(list(v), 2, 2) * Mat.from_flat(list(w), 2, 2)
-            assert raw.contains(prod.flatten())
 
 
 def test_wn_of_enriched_is_gamma_times_wn(c2_amb):
