@@ -21,6 +21,7 @@ from .linalg import (
     SubspaceBasis,
     automorphism_defect,
     combination,
+    dense_blocks,
     kernel_partition,
     matrix_units,
     skolem_noether,
@@ -28,7 +29,6 @@ from .linalg import (
 )
 from .workbench import (
     GradedDecomposition,
-    _first_slot_components,
     _point_fn,
     evaluate,
     gamma_op,
@@ -47,6 +47,10 @@ class InvalidChiError(ClassifyError):
 
 
 class NonScalarError(ClassifyError):
+    pass
+
+
+class NotSubalgebraError(ClassifyError):
     pass
 
 
@@ -172,13 +176,21 @@ def analyze_Se(C: SubSpan) -> GradedDecomposition:
     in one pass; any other span is refused with ClassifyError.
 
     ``workbench.grading`` decides closure and the enrichment, on the same
-    route as ``is_irreducible``: a span with a grading defect is not a
-    subalgebra, and one whose enrichment is not full (some point block of
-    some component S_g does not span M_n) is refused with
+    route as ``is_irreducible``: a span with a grading defect is refused
+    with NotSubalgebraError, and one whose enrichment is not full (some
+    point block of some component S_g does not span M_n) with
     NotIrreducibleError, which carries the enriched dimension.  Then come
     the block supports of the identity component (which must be the cosets
     of a subgroup) and the per-point matrix automorphisms relating the
-    blocks to the stored representatives."""
+    blocks to the stored representatives; these steps succeed on every
+    irreducible subalgebra, so their refusals name broken invariants.
+
+    theta_g is read off the class component E_K (the part of S_e on the
+    blocks of the class K of g) without solving a system: E_K has
+    dimension n^2, and the columns of the block of rep = min K come first
+    among those it touches, so its projection at rep is invertible iff its
+    RREF pivots are exactly those n^2 columns, and it is then the
+    identity.  The row with pivot (rep, pq) has block theta_g(e_pq) at g."""
     amb = C.ambient
     group = amb.group
     n = amb.n
@@ -187,7 +199,7 @@ def analyze_Se(C: SubSpan) -> GradedDecomposition:
         raise ClassifyError("classification runs over V = G")
     decomp = grading(C)
     if decomp.defect is not None:
-        raise ClassifyError(f"span is not a subalgebra: {decomp.defect}")
+        raise NotSubalgebraError(f"span is not a subalgebra: {decomp.defect}")
     for (g, gamma), rank in decomp.ranks.items():
         if rank != n2:
             raise NotIrreducibleError(
@@ -206,6 +218,7 @@ def analyze_Se(C: SubSpan) -> GradedDecomposition:
     if [tuple(c) for c in classes] != expect:
         raise ClassifyError("kernel classes are not the subgroup cosets")
     reps = [min(c) for c in classes]
+    zero = amb.field.zero
     theta_images = {}
     for k, cls in enumerate(classes):
         ideal = _block_supported(amb, s_e, cls)
@@ -214,29 +227,13 @@ def analyze_Se(C: SubSpan) -> GradedDecomposition:
                 f"block component over class {k} has dimension {ideal.dim}, not n^2"
             )
         rep = reps[k]
-        zero = amb.field.zero
-        proj_rep = Mat([[row.get(rep * n2 + t, zero) for t in range(n2)] for row in ideal.srows])
-        try:
-            inv = proj_rep.transpose().inverse()
-        except Exception:
-            raise ClassifyError(
-                f"projection at representative {rep} is not invertible"
-            ) from None
+        if ideal.pivots != tuple(range(rep * n2, rep * n2 + n2)):
+            raise ClassifyError(f"projection at representative {rep} is not invertible")
         for g in cls:
-            images = []
-            for p in range(n):
-                for q in range(n):
-                    unit_vec = [amb.field.zero] * n2
-                    unit_vec[p * n + q] = amb.field.one
-                    coeffs = inv.apply(unit_vec)
-                    img = [amb.field.zero] * n2
-                    for c, row in zip(coeffs, ideal.srows):
-                        if c:
-                            for t in range(n2):
-                                v = row.get(g * n2 + t)
-                                if v is not None:
-                                    img[t] = img[t] + c * v
-                    images.append(Mat.from_flat(img, n, n))
+            images = [
+                Mat.from_flat([row.get(g * n2 + t, zero) for t in range(n2)], n, n)
+                for row in ideal.srows
+            ]
             defect = automorphism_defect(images, n, amb.field)
             if defect is not None:
                 raise ClassifyError(f"per-point map at {g} {defect}")
@@ -262,9 +259,8 @@ def _block_supported(amb: Ambient, basis: SubspaceBasis, cls) -> SubspaceBasis:
     if not conditions:
         return basis
     ker = sparse_nullspace(basis.dim, conditions.values(), amb.field.one)
-    rows = basis.srows
     return SubspaceBasis.from_vectors(
-        basis.ambient, [combination(coeffs, rows) for coeffs in ker.srows]
+        basis.ambient, [combination(coeffs, basis.srows) for coeffs in ker.srows]
     )
 
 
@@ -291,10 +287,8 @@ class ConfAutomorphism:
         return self.invs[alpha] * m * self.us[target]
 
     def apply_elem(self, x: DiffElem) -> DiffElem:
-        out = {}
-        for (g, w), m in x.comps.items():
-            out[(g, w)] = self.apply_mat(g, w, m)
-        return DiffElem(self.ambient, out)
+        comps = {(g, w): self.apply_mat(g, w, m) for (g, w), m in x.comps.items()}
+        return DiffElem(self.ambient, comps)
 
 
 def build_sigma(u_family, amb: Ambient) -> ConfAutomorphism:
@@ -306,17 +300,15 @@ def build_sigma(u_family, amb: Ambient) -> ConfAutomorphism:
     is not re-checked here; ``sigma_condition_witness`` and
     ``sigma_preserves_products`` are the independent checks of it.
     """
-    n = amb.n
-    us = []
+    us = list(u_family)
     invs = []
-    for alpha, u in enumerate(u_family):
-        if u.nrows != n or u.ncols != n:
+    for alpha, u in enumerate(us):
+        if u.nrows != amb.n or u.ncols != amb.n:
             raise ClassifyError(f"conjugator at {alpha} has the wrong size")
         try:
             invs.append(u.inverse())
         except Exception:
             raise ClassifyError(f"conjugator at {alpha} is singular") from None
-        us.append(u)
     if len(us) != amb.gset.size:
         raise ClassifyError("need one conjugator per point")
     return ConfAutomorphism(amb, us, invs)
@@ -369,22 +361,25 @@ def sigma_preserves_products(sigma: ConfAutomorphism) -> bool:
 
 
 def apply_automorphism(sigma: ConfAutomorphism, C: SubSpan) -> SubSpan:
+    """The image of a span, eliminated in the whole algebra.  No decision
+    calls it: it is the whole-span oracle the tests compare
+    ``canonicalize`` with, and the way they conjugate their inputs."""
     if sigma.ambient != C.ambient:
         raise ClassifyError("ambient mismatch")
     return SubSpan.from_elems(C.ambient, [sigma.apply_elem(e) for e in C.basis_elems()])
 
 
-def extract_chi(decomp: GradedDecomposition, C: SubSpan) -> ChiFunction:
-    """Read the scalar table off a normalized irreducible subalgebra.
-
-    Requires every first-slot component S_g to be in the canonical form of
+def extract_chi(decomp: GradedDecomposition) -> ChiFunction:
+    """Read the scalar table off the analysed decomposition of a normalized
+    irreducible subalgebra.  Every first-slot component S_g must be in the
+    canonical form of
     the span of (G1, chi), i.e. all per-point maps already straightened:
     chi(g, gamma) is the entry at (gamma, 0) of the row of S_g whose pivot
     is (rep, 0), so it is 1 at the representatives, and at g = e it must be
     1 everywhere.  Each S_g is then compared with the rows rebuilt from the
     values read; any other component raises NonScalarError.
     """
-    amb = C.ambient
+    amb = decomp.ambient
     group = amb.group
     n2 = amb.n * amb.n
     one = amb.field.one
@@ -418,39 +413,44 @@ def canonicalize(C: SubSpan, decomp: GradedDecomposition | None = None):
     deterministic given the input (representatives are minimal ids and the
     conjugators at representatives are pinned to the identity).
 
-    The input is analysed once, by ``analyze_Se``, which refuses any span
-    that is not an irreducible subalgebra; a caller that has already run it
-    on C passes its decomposition as ``decomp``.  The image keeps its classes,
-    subgroup and representatives, since sigma acts slotwise; only its
-    first-slot components are read off again.  The closing comparison with
-    the span rebuilt from (subgroup, chi) is the exact certificate of the
-    output.
+    The input is analysed once, by ``analyze_Se`` (a caller that has run
+    it passes its decomposition as ``decomp``).  ``grading`` has proved C
+    the sum of its first-slot components S_g, and sigma acts slotwise, so
+    sigma(C) is the sum of the sigma(S_g), which lie in disjoint column
+    blocks and keep the classes, subgroup and representatives of C.  The
+    RREF of such a sum is the concatenation of the blocks' RREFs, so each
+    sigma(S_g) is eliminated on its own, in |G| n^2 columns, and
+    ``extract_chi``'s comparison of each with the rows rebuilt from chi is
+    the exact certificate of the output.
     """
     amb = C.ambient
     if decomp is None:
         decomp = analyze_Se(C)
     n = amb.n
+    n2 = n * n
     ident = Mat.identity(n, amb.field)
-    vs = []
     rep_set = set(decomp.reps)
-    for g in amb.group.elements():
-        if g in rep_set:
-            vs.append(ident)
-            continue
-        conj = skolem_noether(decomp.theta_images[g], n, amb.field)
-        vs.append(conj.inverse())
-    sigma = build_sigma(vs, amb)
-    image = apply_automorphism(sigma, C)
-    straightened = GradedDecomposition(amb, _first_slot_components(image))
+    invs = [
+        ident if g in rep_set else skolem_noether(decomp.theta_images[g], n, amb.field)
+        for g in amb.group.elements()
+    ]
+    us = [ident if g in rep_set else v.inverse() for g, v in enumerate(invs)]
+    sigma = ConfAutomorphism(amb, us, invs)
+    components = {}
+    for g, comp in decomp.components.items():
+        images = []
+        for row in comp.srows:
+            image = {}
+            for gamma, flat in dense_blocks(row, n2, amb.field.zero).items():
+                m = sigma.apply_mat(g, gamma, Mat.from_flat(flat, n, n))
+                image.update((gamma * n2 + t, a) for t, a in enumerate(m.flatten()) if a)
+            images.append(image)
+        components[g] = SubspaceBasis.from_vectors(comp.ambient, images)
+    straightened = GradedDecomposition(amb, components)
     straightened.classes = decomp.classes
     straightened.subgroup = decomp.subgroup
     straightened.reps = decomp.reps
-    # extract_chi validates chi, so the rebuilt span needs no second check
-    chi = extract_chi(straightened, image)
-    rebuilt = chi_span(amb.group, decomp.subgroup, chi, n, amb.field)
-    if rebuilt != image:
-        raise ClassifyError("normalized span does not match its rebuilt form")
-    return decomp.subgroup, chi, sigma
+    return decomp.subgroup, extract_chi(straightened), sigma
 
 
 def theta_bridge(amb: Ambient, theta_fn):
@@ -523,7 +523,6 @@ def theta_bridge(amb: Ambient, theta_fn):
         raise ClassifyError("evaluations do not span the operator space")
     # theta(x) = -(image part of the residual of [x | 0])
     cols = []
-    zero = amb.field.zero
     for t in range(N * N):
         probe = [zero] * (2 * N * N)
         probe[t] = amb.field.one

@@ -25,6 +25,7 @@ from .classify import (
     ClassifyError,
     InvalidChiError,
     NotIrreducibleError,
+    NotSubalgebraError,
     analyze_Se,
     canonicalize,
     chi_span,
@@ -360,7 +361,9 @@ def run_classify(job, report):
             return
         span = chi_span(amb.group, sub, chi, amb.n, amb.field)
     # analyze_Se decides closure and irreducibility once; canonicalize
-    # reuses its decomposition
+    # reuses its decomposition.  Past those two input refusals, every step
+    # holds for an irreducible subalgebra, so its failure is a broken
+    # invariant, not bad input
     try:
         decomp = analyze_Se(span)
     except NotIrreducibleError as exc:
@@ -369,6 +372,10 @@ def run_classify(job, report):
         )
         report["result"] = {"verdict": "reducible input"}
         return
+    except NotSubalgebraError:
+        raise
+    except (ClassifyError, LinAlgError) as exc:
+        raise InternalError(f"classify.analyze: {exc}") from exc
     built = decomp.enriched_dim == amb.dim
     _check(
         report, "classify.build", built, {"dim": span.dim, "enriched_dim": decomp.enriched_dim}
@@ -376,8 +383,6 @@ def run_classify(job, report):
     if not built:
         report["result"] = {"verdict": "reducible input"}
         return
-    # analyze_Se accepted the span, so canonicalize failing on it is a
-    # broken invariant, not bad input
     try:
         subgroup, chi_out, sigma = canonicalize(span, decomp)
     except (ClassifyError, LinAlgError) as exc:

@@ -9,6 +9,7 @@ from cendlab.classify import (
     ChiFunction,
     ClassifyError,
     ConfAutomorphism,
+    _block_supported,
     InvalidChiError,
     NonScalarError,
     analyze_Se,
@@ -109,6 +110,78 @@ def test_chi_span_matches_its_elements(data):
     span = chi_span(group, sub, chi, n, field)
     assert span == oracle
     assert span.basis.pivots == oracle.basis.pivots
+
+
+def inverse_theta_images(amb, s_e, classes):
+    """The maps theta_g solved through the inverse of each class
+    component's projection at its representative min K: theta_g(e_pq) is
+    the block at g of the element of the component equal to e_pq at min K.
+    ``analyze_Se`` reads them off the RREF rows instead; this is its
+    oracle."""
+    field = amb.field
+    n = amb.n
+    n2 = n * n
+    out = {}
+    for cls in classes:
+        rep = min(cls)
+        ideal = _block_supported(amb, s_e, cls)
+        proj_rep = Mat(
+            [[row.get(rep * n2 + t, field.zero) for t in range(n2)] for row in ideal.srows]
+        )
+        inv = proj_rep.transpose().inverse()
+        for g in cls:
+            images = []
+            for u in range(n2):
+                unit_vec = [field.zero] * n2
+                unit_vec[u] = field.one
+                img = [field.zero] * n2
+                for c, row in zip(inv.apply(unit_vec), ideal.srows):
+                    for t in range(n2):
+                        img[t] = img[t] + c * row.get(g * n2 + t, field.zero)
+                images.append(Mat.from_flat(img, n, n))
+            out[g] = images
+    return out
+
+
+def scalars(field):
+    if field is QQ:
+        return st.integers(-2, 2).map(QQ.scalar)
+    coeffs = st.lists(st.integers(-2, 2), min_size=field.degree, max_size=field.degree)
+    return coeffs.map(field.scalar)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_theta_read_off_matches_the_inverse_oracle(data):
+    # C(G1, chi) for a coboundary chi(g, a) = mu(a) / mu(g^-1 a), conjugated
+    # by full random conjugators; a singular draw is shifted by the identity
+    # until it is invertible
+    field = data.draw(st.sampled_from([QQ, ZETA4]))
+    group = TARGET_GROUPS[data.draw(st.sampled_from(["C4", "C2xC2", "S3"]))]
+    n = data.draw(st.integers(1, 3))
+    sub = data.draw(st.sampled_from(subgroups(group)))
+    order = group.order
+    mu = data.draw(st.lists(nonzero_scalars(field), min_size=order, max_size=order))
+    chi = ChiFunction(
+        group,
+        [[mu[a] / mu[group.mul(group.inv(x), a)] for a in group.elements()] for x in group.elements()],
+    )
+    amb = Ambient(group, n, field=field)
+    entries = st.lists(scalars(field), min_size=n * n, max_size=n * n)
+    us = []
+    for _ in group.elements():
+        u = Mat.from_flat(data.draw(entries), n, n)
+        while u.rank() != n:
+            u = u + Mat.identity(n, field)
+        us.append(u)
+    image = apply_automorphism(build_sigma(us, amb), build_C(group, sub, chi, n, field))
+    decomp = analyze_Se(image)
+    classes = cosets(group, sub)
+    assert decomp.classes == [tuple(c) for c in classes]
+    assert decomp.theta_images == inverse_theta_images(amb, decomp.components[0], classes)
+    sub_out, chi_out, sigma_out = canonicalize(image, decomp)
+    assert sub_out == tuple(sub)
+    assert apply_automorphism(sigma_out, image) == build_C(group, sub_out, chi_out, n, field)
 
 
 def test_build_trivial_subgroup_gives_everything():
@@ -299,7 +372,7 @@ def test_apply_constant_conjugator_preserves_built_spans(rng):
     assert image == C  # conjugation permutes each full matrix block
     d = analyze_Se(image)
     assert d.subgroup == (0, 2)
-    assert extract_chi(d, image) == chi
+    assert extract_chi(d) == chi
 
 
 def test_apply_automorphism_identity_and_cend(rng):
@@ -315,11 +388,11 @@ def test_apply_automorphism_identity_and_cend(rng):
 def test_extract_chi_cur_and_cend():
     g = cyclic_group(2)
     d = analyze_Se(cur(g, 1))
-    chi = extract_chi(d, cur(g, 1))
+    chi = extract_chi(d)
     assert chi == ChiFunction.constant_one(g, QQ)
     C = cend(Ambient(g, 1))
     d2 = analyze_Se(C)
-    assert extract_chi(d2, C) == ChiFunction.constant_one(g, QQ)
+    assert extract_chi(d2) == ChiFunction.constant_one(g, QQ)
 
 
 def test_extract_chi_sign_example():
@@ -328,7 +401,7 @@ def test_extract_chi_sign_example():
     assert subalgebra_closure_witness(C) is None
     assert is_irreducible(C).irreducible
     d = analyze_Se(C)
-    chi = extract_chi(d, C)
+    chi = extract_chi(d)
     assert chi.value(1, 0) == q(1)
     assert chi.value(1, 1) == q(-1)
 
@@ -342,7 +415,7 @@ def test_extract_chi_rejects_unnormalized():
     C = apply_automorphism(sigma, cur(g, 2))
     d = analyze_Se(C)
     with pytest.raises(NonScalarError):
-        extract_chi(d, C)
+        extract_chi(d)
 
 
 def test_extract_chi_rejects_a_non_scalar_off_identity_component():
@@ -362,10 +435,10 @@ def test_extract_chi_rejects_a_non_scalar_off_identity_component():
         skewed.append(DiffElem(amb, comps))
     component = _first_slot_components(SubSpan.from_elems(amb, skewed))[1]
     assert component != d.components[1] and component.dim == d.components[1].dim
-    assert extract_chi(d, C) == ChiFunction.constant_one(g, QQ)
+    assert extract_chi(d) == ChiFunction.constant_one(g, QQ)
     d.components[1] = component
     with pytest.raises(NonScalarError):
-        extract_chi(d, C)
+        extract_chi(d)
 
 
 def test_canonicalize_basics(target_groups):

@@ -201,6 +201,20 @@ def test_irreducible_non_closed_generators_exit_2(tmp_path):
     assert "input error: span is not a subalgebra" in proc.stderr
 
 
+def test_classify_non_closed_generators_exit_2(tmp_path):
+    # the same span given to classify: a grading defect stays an input
+    # error, not the broken invariant of exit 3
+    gens = [[{"g": 0, "w": 0, "matrix": [["1"]]}, {"g": 0, "w": 1, "matrix": [["-1"]]}],
+            [{"g": 1, "w": 0, "matrix": [["1"]]}, {"g": 1, "w": 1, "matrix": [["1"]]}]]
+    proc, report = run_cli(
+        tmp_path,
+        {"command": "classify", "group": {"kind": "cyclic", "n": 2}, "n": 1, "generators": gens},
+    )
+    assert proc.returncode == 2
+    assert report is None
+    assert "input error: span is not a subalgebra" in proc.stderr
+
+
 def test_every_manifest_id_is_emitted():
     from cendlab.checks import CHECK_MANIFEST
     from cendlab.cli import run_job
@@ -404,7 +418,7 @@ def test_broken_invariant_of_canonicalize_exits_3(tmp_path, monkeypatch, capsys)
     import cendlab.classify
     from cendlab.cli import main
 
-    def broken(decomp, C):
+    def broken(decomp):
         raise cendlab.classify.NonScalarError("planted")
 
     monkeypatch.setattr(cendlab.classify, "extract_chi", broken)
@@ -414,6 +428,120 @@ def test_broken_invariant_of_canonicalize_exits_3(tmp_path, monkeypatch, capsys)
     assert code == 3
     assert capsys.readouterr().err == "internal error: classify.canonical: planted\n"
     assert not out_path.exists()
+
+
+def _split_last_class(real):
+    # {1, 3} for G1 = {0, 2} in C4 becomes two classes of one point each
+    def broken(*args):
+        classes = real(*args)
+        return classes[:-1] + [[x] for x in classes[-1]]
+
+    return broken
+
+
+def _drop_representative_block(real):
+    # the class component over {1, 3} loses its entries at the
+    # representative 1, so its projection there is singular
+    from cendlab.linalg import SubspaceBasis
+
+    def broken(amb, basis, cls):
+        ideal = real(amb, basis, cls)
+        if min(cls) == 0:
+            return ideal
+        start = (min(cls) + 1) * amb.n * amb.n
+        rows = [{c: a for c, a in row.items() if c >= start} for row in ideal.srows]
+        return SubspaceBasis.from_vectors(ideal.ambient, rows)
+
+    return broken
+
+
+@pytest.mark.parametrize("target, breakage, message", [
+    ("kernel_partition", _split_last_class, "kernel classes are not the subgroup cosets"),
+    ("_block_supported", _drop_representative_block,
+     "projection at representative 1 is not invertible"),
+], ids=["classes-not-cosets", "singular-projection"])
+def test_broken_invariant_of_analyze_exits_3(
+    tmp_path, monkeypatch, capsys, target, breakage, message
+):
+    # past the grading and the rank check, analyze_Se refuses only on a
+    # broken invariant: exit 3 with the invariant named and no report
+    from pathlib import Path
+
+    import cendlab.classify
+    from cendlab.cli import main
+
+    monkeypatch.setattr(cendlab.classify, target, breakage(getattr(cendlab.classify, target)))
+    job_path = Path(__file__).parent / "golden" / "classify_subgroup_c4.job.json"
+    out_path = tmp_path / "report.json"
+    code = main(["classify", "--input", str(job_path), "--output", str(out_path)])
+    assert code == 3
+    assert capsys.readouterr().err == f"internal error: classify.analyze: {message}\n"
+    assert not out_path.exists()
+
+
+CANONICALIZED_GOLDENS = [
+    "classify_subgroup_c4",
+    "classify_cyclotomic_c4",
+    "classify_cyclotomic_subgroup_c4",
+    "classify_generators_c4_n2",
+    "classify_generators_s3",
+]
+
+
+@pytest.mark.parametrize("name", CANONICALIZED_GOLDENS)
+def test_canonicalize_eliminates_only_inside_components(tmp_path, monkeypatch, name):
+    # canonicalize straightens each first-slot component on its own: no
+    # elimination in the whole algebra, no whole-span image and no second
+    # split of it into components
+    import cendlab.classify
+    import cendlab.cli
+    import cendlab.linalg
+    import cendlab.workbench
+
+    inside = []
+    algebra_dims = []
+    ambients = []
+    forbidden = []
+    real_canonicalize = cendlab.cli.canonicalize
+    real_init = cendlab.linalg.EchelonBuilder.__init__
+
+    def canonicalize(span, decomp=None):
+        inside.append(True)
+        algebra_dims.append(span.ambient.dim)
+        try:
+            return real_canonicalize(span, decomp)
+        finally:
+            inside.pop()
+
+    def init(self, ambient):
+        if inside:
+            ambients.append(ambient)
+        real_init(self, ambient)
+
+    def watched(label, real):
+        def call(*args):
+            if inside:
+                forbidden.append(label)
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(cendlab.cli, "canonicalize", canonicalize)
+    monkeypatch.setattr(cendlab.linalg.EchelonBuilder, "__init__", init)
+    monkeypatch.setattr(
+        cendlab.classify,
+        "apply_automorphism",
+        watched("apply_automorphism", cendlab.classify.apply_automorphism),
+    )
+    split = watched("_first_slot_components", cendlab.workbench._first_slot_components)
+    # also any binding of its own that classify holds
+    monkeypatch.setattr(cendlab.workbench, "_first_slot_components", split)
+    monkeypatch.setattr(cendlab.classify, "_first_slot_components", split, raising=False)
+    code, report = run_main_on_golden(tmp_path, name)
+    assert code == 0 and "subgroup" in report["result"]
+    assert len(algebra_dims) == 1 and ambients
+    assert algebra_dims[0] not in ambients
+    assert forbidden == []
 
 
 @pytest.mark.parametrize("name", ["classify_subgroup_c4", "classify_cyclotomic_c4"])
