@@ -311,7 +311,12 @@ def run_ideal(job, report):
     )
     essential = None
     if side == "left" and b0 is not None:
-        essential, by_whole_ring = is_essential(amb, b0)
+        # the B0 of a left ideal's shape is a left ideal of M_n(A), so a
+        # refusal here is a broken invariant, not bad input
+        try:
+            essential, by_whole_ring = is_essential(amb, b0)
+        except WorkbenchError as exc:
+            raise InternalError(f"ideal.essential: {exc}") from exc
         detail = {"essential": essential}
         if by_whole_ring != essential:
             detail["by_whole_ring"] = by_whole_ring

@@ -294,11 +294,6 @@ class SubSpan:
             return True
         return self.basis.contains(elem.sparse_vector())
 
-    def contains_span(self, other: "SubSpan") -> bool:
-        if self.is_full():
-            return True
-        return self.basis.contains_basis(other.basis)
-
     def basis_elems(self):
         return [DiffElem.from_sparse(self.ambient, row) for row in self.basis.srows]
 

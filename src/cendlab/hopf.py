@@ -123,10 +123,6 @@ def one_h(group: FiniteGroup, field=QQ) -> HElem:
     return HElem(group, [field.one] * group.order)
 
 
-def one_a(gset: GSet, field=QQ) -> AElem:
-    return AElem(gset, [field.one] * gset.size)
-
-
 def h_mult(f: HElem, h: HElem) -> HElem:
     """Pointwise product; on the basis T_g T_h = delta_{g,h} T_g."""
     f._same(h)
@@ -164,12 +160,6 @@ def left_shift(g: int, h: HElem) -> HElem:
     """(L_g h)(x) = h(g x); on basis elements L_g T_h = T_{g^-1 h}."""
     group = h.group
     return HElem(group, [h.coeffs[group.mul(g, x)] for x in group.elements()])
-
-
-def left_shift_a(g: int, a: AElem) -> AElem:
-    """(L_g f)(v) = f(g v) on the coordinate algebra of a G-set."""
-    gset = a.gset
-    return AElem(gset, [a.coeffs[gset.act(g, v)] for v in gset.points()])
 
 
 def coaction(a: AElem) -> Mat:

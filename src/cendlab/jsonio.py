@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .classify import ChiFunction, ConfAutomorphism
 from .conformal import Ambient, DiffElem, SubSpan
-from .fields import CyclotomicField, FieldError, field_from_spec
+from .fields import CyclotomicField, field_from_spec
 from .groups import FiniteGroup, GSet, make_group, make_gset
 from .hopf import HElem
 from .linalg import Mat
@@ -75,9 +75,11 @@ def diffelem_to_json(x: DiffElem):
 
 
 def diffelem_from_json(amb: Ambient, obj) -> DiffElem:
+    """The sum of the terms, built as one element: terms at one (g, w) add
+    up, and the components keep the order of each (g, w)'s first term."""
     if not isinstance(obj, list):
         raise JsonError("element must be a list of (g, w, matrix) terms")
-    total = DiffElem(amb, {})
+    comps = {}
     for term in obj:
         g, w = int(term["g"]), int(term["w"])
         if not (0 <= g < amb.group.order) or not (0 <= w < amb.gset.size):
@@ -85,8 +87,9 @@ def diffelem_from_json(amb: Ambient, obj) -> DiffElem:
         mat = mat_from_json(term["matrix"], amb.field)
         if mat.nrows != amb.n or mat.ncols != amb.n:
             raise JsonError("matrix part has the wrong size")
-        total = total + DiffElem(amb, {(g, w): mat})
-    return total
+        acc = comps.get((g, w))
+        comps[(g, w)] = mat if acc is None else acc + mat
+    return DiffElem(amb, comps)
 
 
 def ambient_to_json(amb: Ambient):
@@ -156,10 +159,3 @@ def weylelem_from_json(obj, field):
         key = (int(term["r"]), int(term["s"]))
         coeffs[key] = coeffs.get(key, field.zero) + field.from_json(term["coeff"])
     return WeylElem(field, coeffs)
-
-
-def scalar_from_json(obj, field):
-    try:
-        return field.from_json(obj)
-    except FieldError as exc:
-        raise JsonError(str(exc)) from None

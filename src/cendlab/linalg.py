@@ -470,9 +470,6 @@ class SubspaceBasis:
     def contains(self, vec):
         return not self.reduce(vec)
 
-    def contains_basis(self, other: "SubspaceBasis") -> bool:
-        return all(self.contains(r) for r in other.srows)
-
     def __eq__(self, other):
         return (
             isinstance(other, SubspaceBasis)
@@ -543,42 +540,21 @@ def sparse_nullspace(ncols, vectors, one) -> SubspaceBasis:
     return SubspaceBasis.from_vectors(ncols, free.values())
 
 
-def span_closure(ambient, seeds, unary_steps=(), binary_steps=()) -> SubspaceBasis:
-    """Smallest subspace containing the seeds, closed under the step maps.
+def span_closure(ambient, seeds, step) -> SubspaceBasis:
+    """Smallest subspace containing the seeds and closed under the linear
+    map ``step``, which takes a sparse canonical row to an iterable of
+    vectors (dense or sparse); the closure holds every one of them.
 
-    Steps must be linear in each vector argument, so closing over basis
-    representatives suffices; terminates since the dimension strictly grows
-    each round and the ambient space is finite-dimensional.  Steps take
-    dense lists and return dense sequences or sparse maps.
+    This is the one closure routine of the package.  Each row the echelon
+    gains is stepped once, as ``EchelonBuilder.add`` returns it: the gained
+    rows span the closure, so by linearity their images span its image.
+    It terminates since each round either gains a row or ends, and the
+    ambient space is finite-dimensional.
     """
     builder = EchelonBuilder(ambient)
-
-    def as_list(row):
-        p = min(row)
-        return dense(row, ambient, row[p] - row[p])
-
-    new_rows = []
-    for v in seeds:
-        added = builder.add(v)
-        if added is not None:
-            new_rows.append(as_list(added))
-    while new_rows:
-        produced = []
-        for v in new_rows:
-            for step in unary_steps:
-                produced.append(step(v))
-        if binary_steps:
-            current = [as_list(builder.index[p]) for p in sorted(builder.index)]
-            for step in binary_steps:
-                for v in new_rows:
-                    for w in current:
-                        produced.append(step(v, w))
-                        produced.append(step(w, v))
-        new_rows = []
-        for w in produced:
-            added = builder.add(w)
-            if added is not None:
-                new_rows.append(as_list(added))
+    work = list(seeds)
+    while work:
+        work = [image for row in map(builder.add, work) if row is not None for image in step(row)]
     return builder.basis()
 
 

@@ -92,12 +92,6 @@ class WeylElem:
     def __hash__(self):
         return hash((self.field, tuple(sorted(self.coeffs.items()))))
 
-    def t_degree(self):
-        return max((r for r, _ in self.coeffs), default=-1)
-
-    def v_degree(self):
-        return max((s for _, s in self.coeffs), default=-1)
-
     def t_mult(self) -> "WeylElem":
         """Multiplication by T: T . T^{(r)} v^s = (r+1) T^{(r+1)} v^s."""
         out = {}

@@ -43,7 +43,6 @@ from .linalg import (
     dense_blocks,
     nullspace,
     span_closure,
-    sparse,
     sparse_nullspace,
 )
 
@@ -269,41 +268,41 @@ def wn_span(C: SubSpan) -> SubspaceBasis:
 
 def operator_algebra(C: SubSpan) -> SubspaceBasis:
     """Unital algebra generated by the evaluations of C and the
-    multiplication operators (which sum to the identity), by closing the
-    span under composition; the products are block products.  This is the
-    independent, operator-side route to the irreducibility decisions."""
+    multiplication operators, by closing the generators under left
+    multiplication by them; the products are block products.  The closure
+    is the span of every word in the generators, which is closed under
+    composition, and it holds the identity, the sum of the Gamma_w.  This
+    is the independent, operator-side route to the irreducibility
+    decisions."""
     amb = C.ambient
     size, n = amb.gset.size, amb.n
-    seeds = [gamma_op(_point_fn(amb, w), amb).entries() for w in amb.gset.points()]
-    seeds += [evaluate(e, z).entries() for e in C.basis_elems() for z in amb.group.elements()]
+    gens = [gamma_op(_point_fn(amb, w), amb) for w in amb.gset.points()]
+    gens += [evaluate(e, z) for e in C.basis_elems() for z in evaluation_points(e)]
 
-    def compose(v, w):
-        left = BlockOp.from_entries(size, n, sparse(v))
-        return (left * BlockOp.from_entries(size, n, sparse(w))).entries()
+    def step(row):
+        right = BlockOp.from_entries(size, n, row)
+        return [(gen * right).entries() for gen in gens]
 
-    return span_closure(amb.module_dim ** 2, seeds, binary_steps=[compose])
+    return span_closure(amb.module_dim ** 2, [gen.entries() for gen in gens], step)
 
 
 def module_closure(ops, seeds, N):
     """For each seed in turn, the smallest subspace of M containing it and
-    invariant under the ``BlockOp``s ops.  Vectors stay sparse maps.  An
-    index from each column to the operators with a nonzero entry there is
-    built once for all seeds, so a row is applied only to the operators
-    that can move it; an image that is zero is not inserted."""
+    invariant under the ``BlockOp``s ops, by ``span_closure``.  An index
+    from each column to the operators with a nonzero entry there is built
+    once for all seeds, so a row is applied only to the operators that can
+    move it; an image that is zero is not inserted."""
     movers = {}
     for k, op in enumerate(ops):
         for j in op.columns():
             movers.setdefault(j, set()).add(k)
+
+    def step(row):
+        touched = set().union(*(movers.get(j, ()) for j in row))
+        return [image for k in sorted(touched) if (image := ops[k].apply(row))]
+
     for seed in seeds:
-        builder = EchelonBuilder(N)
-        work = [seed]
-        while work:
-            added = [row for row in map(builder.add, work) if row is not None]
-            work = []
-            for v in added:
-                touched = set().union(*(movers.get(j, ()) for j in v))
-                work += [image for k in sorted(touched) if (image := ops[k].apply(v))]
-        yield builder.basis()
+        yield span_closure(N, [seed], step)
 
 
 def centralizer(ops, N, field) -> SubspaceBasis:
@@ -630,84 +629,79 @@ def is_irreducible(C: SubSpan) -> IrreducibilityResult:
 # one-sided ideals
 
 
-def _right_step_products(amb: Ambient, elem: DiffElem):
-    """All products elem o_gamma (basis element), using the support deltas.
-
-    A product m1 E_(i2, j2) with a matrix unit has one nonzero column, j2,
-    which is column i2 of m1; it is built as such, and skipped when that
-    column is zero."""
-    group, n = amb.group, amb.n
-    zero = amb.field.zero
-    out = []
-    for (g1, w1), m1 in elem.comps.items():
-        # the product at gamma = g1^-1 is the only nonzero one, and the
-        # middle slot of the right factor is forced by the delta
-        prods = [
-            [Mat([[c if j == j2 else zero for j in range(n)] for c in col]) for j2 in range(n)]
-            for col in zip(*m1.rows)
-            if any(col)
-        ]
-        for g2 in group.elements():
-            first = group.mul(g1, g2)
-            for mats in prods:
-                for prod in mats:
-                    out.append(DiffElem(amb, {(first, w1): prod}))
-    return out
+def _matrix_rows(vec, n):
+    """The nonzero rows of the n x n blocks of a sparse vector: a map from
+    block * n + row to the row as a sparse map column -> entry."""
+    rows = {}
+    for k, a in vec.items():
+        r, c = divmod(k, n)
+        rows.setdefault(r, {})[c] = a
+    return rows
 
 
-def _left_step_products(amb: Ambient, elem: DiffElem):
-    """All products (basis element) o_gamma elem.  A product E_(i1, j1) m2
-    has one nonzero row, i1, which is row j1 of m2."""
-    group, gset, n = amb.group, amb.gset, amb.n
-    zero_row = (amb.field.zero,) * n
-    out = []
-    for (g2, w2), m2 in elem.comps.items():
-        prods = [
-            [Mat([row if i == i1 else zero_row for i in range(n)]) for row in m2.rows if any(row)]
-            for i1 in range(n)
-        ]
-        for gamma in group.elements():
-            ginv = group.inv(gamma)
-            w1 = gset.act(ginv, w2)
-            first = group.mul(ginv, g2)
-            for mats in prods:
-                for prod in mats:
-                    out.append(DiffElem(amb, {(first, w1): prod}))
-    return out
-
-
-def _h_projections(amb: Ambient, elem: DiffElem):
-    by_g = {}
-    for (g, w), mat in elem.comps.items():
-        by_g.setdefault(g, {})[(g, w)] = mat
-    return [DiffElem(amb, comps) for comps in by_g.values()]
+def _one_row_products(row, block, n):
+    """The products e_ij m whose one nonzero row, i, is ``row``, the row j
+    of m: the vectors with ``row`` as row i of the n x n block ``block``,
+    for i = 0, ..., n-1."""
+    return [{(block * n + i) * n + c: a for c, a in row.items()} for i in range(n)]
 
 
 def _ideal_closure(gens, side: str) -> SubSpan:
+    """The smallest H-submodule containing gens and closed under the
+    products with the algebra on the given side, by ``span_closure`` on
+    sparse rows.  The step multiplies each block (g, w) of a row on its own
+    by the basis elements T_g' (x) T_u (x) E_ij with a nonzero product:
+
+    - left, (basis) o_gamma x: the block (g2, w2) goes to
+      (gamma^-1 g2, gamma^-1 . w2), and row i1 of E_(i1, j1) m2 is row j1
+      of m2;
+    - right, x o_gamma (basis): at gamma = g1^-1 the block (g1, w1) goes
+      to (g1 g2, w1), and column j2 of m1 E_(i2, j2) is column i2 of m1.
+
+    The closure needs no projection step to be an H-submodule.  At
+    gamma = e on the left (g2 = e on the right) the products of a block
+    with E_ii, summed over i, give back that block.  So the closure holds
+    every block of each of its elements, and with them every first-slot
+    projection, which is all the H-action asks for.
+
+    Stepping blocks closes no further than the ideal either: every block of
+    x lies in the H-submodule ideal x generates.  On the left, the sum over
+    i of (T_e (x) T_u (x) E_ii) o_e x is the part of x at middle slot u,
+    and the H-action keeps one first slot of it; on the right, the sum over
+    i of x o_(g^-1) (T_e (x) T_(g^-1 . w) (x) E_ii) is the block (g, w).
+    """
     gens = list(gens)
     if not gens:
         raise WorkbenchError("need at least one generator")
     amb = gens[0].ambient
-    builder = EchelonBuilder(amb.dim)
-    work = []
-    for e in gens:
-        if e.ambient != amb:
-            raise WorkbenchError("mixed ambients in generators")
-        added = builder.add(e.sparse_vector())
-        if added is not None:
-            work.append(DiffElem.from_sparse(amb, added))
-    step = _right_step_products if side == "right" else _left_step_products
-    while work:
-        produced = []
-        for e in work:
-            produced.extend(_h_projections(amb, e))
-            produced.extend(step(amb, e))
-        work = []
-        for p in produced:
-            added = builder.add(p.sparse_vector())
-            if added is not None:
-                work.append(DiffElem.from_sparse(amb, added))
-    return SubSpan(amb, builder.basis())
+    if any(e.ambient != amb for e in gens):
+        raise WorkbenchError("mixed ambients in generators")
+    group, act, size, n = amb.group, amb.gset.act, amb.gset.size, amb.n
+
+    def left_step(vec):
+        out = []
+        for r, row in _matrix_rows(vec, n).items():
+            g2, w2 = divmod(r // n, size)
+            for gamma in group.elements():
+                ginv = group.inv(gamma)
+                out += _one_row_products(row, group.mul(ginv, g2) * size + act(ginv, w2), n)
+        return out
+
+    def right_step(vec):
+        cols = {}
+        for k, a in vec.items():
+            r, j = divmod(k, n)
+            cols.setdefault((r // n, j), {})[r % n] = a
+        out = []
+        for (b, _j), col in cols.items():
+            g1, w1 = divmod(b, size)
+            for g2 in group.elements():
+                base = (group.mul(g1, g2) * size + w1) * n
+                out += [{(base + i) * n + j2: a for i, a in col.items()} for j2 in range(n)]
+        return out
+
+    step = right_step if side == "right" else left_step
+    return SubSpan(amb, span_closure(amb.dim, [e.sparse_vector() for e in gens], step))
 
 
 def right_ideal_closure(gens) -> SubSpan:
@@ -755,28 +749,17 @@ def ideal_shape(B: SubSpan, side: str) -> SubspaceBasis:
 def mn_a_left_ideal_closure(amb: Ambient, gens_vectors) -> SubspaceBasis:
     """Left-ideal closure inside M_n(A): close under left multiplication by
     the basis T_w (x) e_ij (pointwise in the A slot).  A product e_ij m has
-    one nonzero row, i, which is row j of m; it is built as such, and
-    skipped when that row is zero."""
+    one nonzero row, i, which is row j of m; only the nonzero rows of m
+    are stepped."""
     n = amb.n
-    block = n * n
-    zero = amb.field.zero
-    builder = EchelonBuilder(matrix_coeff_ambient_dim(amb))
-    work = list(gens_vectors)
-    while work:
-        produced = []
-        for v in map(builder.add, work):
-            if v is None:
-                continue
-            for w, piece in sorted(dense_blocks(v, block, zero).items()):
-                rows = [piece[j * n : (j + 1) * n] for j in range(n)]
-                for i in range(n):
-                    base = w * block + i * n
-                    for row in rows:
-                        vec = {base + c: a for c, a in enumerate(row) if a}
-                        if vec:
-                            produced.append(vec)
-        work = produced
-    return builder.basis()
+
+    def step(vec):
+        out = []
+        for r, row in _matrix_rows(vec, n).items():
+            out += _one_row_products(row, r // n, n)
+        return out
+
+    return span_closure(matrix_coeff_ambient_dim(amb), gens_vectors, step)
 
 
 def is_mn_a_left_ideal(amb: Ambient, basis: SubspaceBasis) -> bool:

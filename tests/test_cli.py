@@ -430,6 +430,26 @@ def test_broken_invariant_of_canonicalize_exits_3(tmp_path, monkeypatch, capsys)
     assert not out_path.exists()
 
 
+def test_broken_invariant_of_is_essential_exits_3(tmp_path, monkeypatch, capsys):
+    # ideal_shape has returned B0 for a left ideal, so is_essential refusing
+    # it as no left ideal of M_n(A) is a broken invariant: exit 3 with the
+    # invariant named and no report, not the input error of exit 2
+    from pathlib import Path
+
+    import cendlab.workbench
+    from cendlab.cli import main
+
+    monkeypatch.setattr(cendlab.workbench, "is_mn_a_left_ideal", lambda amb, basis: False)
+    job_path = Path(__file__).parent / "golden" / "ideal_left_essential.job.json"
+    out_path = tmp_path / "report.json"
+    code = main(["ideal", "--input", str(job_path), "--output", str(out_path)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "internal error: ideal.essential: B0 is not a left ideal of M_n(A)\n"
+    )
+    assert not out_path.exists()
+
+
 def _split_last_class(real):
     # {1, 3} for G1 = {0, 2} in C4 becomes two classes of one point each
     def broken(*args):

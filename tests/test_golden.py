@@ -109,3 +109,23 @@ def test_product_rule_is_not_pairwise(name, monkeypatch):
     check_golden(name, monkeypatch)
     assert runs
     assert all(2 * products <= dim * dim or dim <= 2 for dim, products in runs), runs
+
+
+@pytest.mark.parametrize(
+    "name",
+    [name for name in NAMES if name.startswith(("ideal_left_", "wn_"))] + ["irreducible_reducible"],
+)
+def test_closures_run_through_span_closure(name, monkeypatch):
+    # span_closure is the one closure routine: the ideal closure, the B0
+    # left-ideal test of is_essential and the module closures of the
+    # certificate search all call it
+    calls = []
+    closure = cendlab.workbench.span_closure
+
+    def counted(*args):
+        calls.append(args[0])
+        return closure(*args)
+
+    monkeypatch.setattr(cendlab.workbench, "span_closure", counted)
+    check_golden(name, monkeypatch)
+    assert calls

@@ -9,7 +9,7 @@ from cendlab.groups import cyclic_group, coset_gset, symmetric_group, subgroups,
 from cendlab.hopf import basis_h, one_h
 from cendlab.classify import ChiFunction, apply_automorphism, build_sigma, chi_span, grading
 from cendlab.conformal import Ambient, DiffElem, SubSpan, cend, cur, diff_product, subalgebra_closure_witness
-from cendlab.linalg import BlockOp, Mat, SubspaceBasis, span_closure
+from cendlab.linalg import BlockOp, EchelonBuilder, Mat, SubspaceBasis, dense, span_closure
 from cendlab.workbench import (
     _first_slot_components,
     ConfOperator,
@@ -548,9 +548,12 @@ def test_module_closure_matches_dense_apply(field):
             [_rand_scalar(rng, field) if j < N // 2 else field.zero for j in range(N)],
             [field.zero] * N,
         ]
-        expect = [
-            span_closure(N, [seed], unary_steps=[op.apply for op in ops]) for seed in seeds
-        ]
+        # the dense Mat.apply oracle, on the canonical rows made dense
+        def step(row):
+            vec = dense(row, N, field.zero)
+            return [op.apply(vec) for op in ops]
+
+        expect = [span_closure(N, [seed], step) for seed in seeds]
         blocks = [BlockOp.from_mat(op, 2) for op in ops]
         assert list(module_closure(blocks, seeds, N)) == expect
 
@@ -561,26 +564,28 @@ GRADING_CASES = [(cyclic_group(2), 1), (cyclic_group(2), 2), (cyclic_group(3), 1
 
 def _generated_subalgebra(amb, elems):
     """The smallest H-submodule containing elems and closed under every
-    product, by closing coefficient vectors."""
-    group, n2 = amb.group, amb.n * amb.n
-    block = amb.gset.size * n2
-
-    def projection(g):
-        base = g * block
-        return lambda v: [x if base <= k < base + block else amb.field.zero for k, x in enumerate(v)]
-
-    def product(gamma):
-        return lambda v, w: diff_product(
-            DiffElem.from_vector(amb, v), DiffElem.from_vector(amb, w), gamma
-        ).vector()
-
-    basis = span_closure(
-        amb.dim,
-        [e.vector() for e in elems],
-        unary_steps=[projection(g) for g in group.elements()],
-        binary_steps=[product(gamma) for gamma in group.elements()],
-    )
-    return SubSpan(amb, basis)
+    product, by closing coefficient vectors: each row the span gains is
+    projected onto every first slot and multiplied, on both sides, with
+    every row gained so far.  The products stay pairwise on purpose, as the
+    product rule's oracle."""
+    group = amb.group
+    block = amb.gset.size * amb.n * amb.n
+    builder = EchelonBuilder(amb.dim)
+    gained = []
+    work = [e.sparse_vector() for e in elems]
+    while work:
+        new = [DiffElem.from_sparse(amb, row) for row in map(builder.add, work) if row is not None]
+        gained += new
+        work = []
+        for x in new:
+            vec = x.sparse_vector()
+            for g in group.elements():
+                work.append({k: a for k, a in vec.items() if k // block == g})
+            for y in gained:
+                for gamma in group.elements():
+                    work.append(diff_product(x, y, gamma).sparse_vector())
+                    work.append(diff_product(y, x, gamma).sparse_vector())
+    return SubSpan(amb, builder.basis())
 
 
 def draw_span(data, amb):
@@ -751,3 +756,127 @@ def test_block_operators_match_dense_oracle(data):
     assert a.apply(vec) == expect
     assert a.apply({j: x for j, x in enumerate(vec) if x}) == expect
     assert a.entries() == {k: x for k, x in enumerate(da.flatten()) if x}
+
+
+# The DiffElem-level ideal closure that ``_ideal_closure`` replaced, kept as
+# its oracle: every product is built as an element with one block, and each
+# new element is also split into its first-slot projections.
+
+
+def _oracle_right_products(amb, elem):
+    """All products elem o_gamma (basis element); m1 E_(i2, j2) has one
+    nonzero column, j2, which is column i2 of m1."""
+    group, n = amb.group, amb.n
+    zero = amb.field.zero
+    out = []
+    for (g1, w1), m1 in elem.comps.items():
+        prods = [
+            [Mat([[c if j == j2 else zero for j in range(n)] for c in col]) for j2 in range(n)]
+            for col in zip(*m1.rows)
+            if any(col)
+        ]
+        for g2 in group.elements():
+            first = group.mul(g1, g2)
+            for mats in prods:
+                for prod in mats:
+                    out.append(DiffElem(amb, {(first, w1): prod}))
+    return out
+
+
+def _oracle_left_products(amb, elem):
+    """All products (basis element) o_gamma elem; E_(i1, j1) m2 has one
+    nonzero row, i1, which is row j1 of m2."""
+    group, gset, n = amb.group, amb.gset, amb.n
+    zero_row = (amb.field.zero,) * n
+    out = []
+    for (g2, w2), m2 in elem.comps.items():
+        prods = [
+            [Mat([row if i == i1 else zero_row for i in range(n)]) for row in m2.rows if any(row)]
+            for i1 in range(n)
+        ]
+        for gamma in group.elements():
+            ginv = group.inv(gamma)
+            w1 = gset.act(ginv, w2)
+            first = group.mul(ginv, g2)
+            for mats in prods:
+                for prod in mats:
+                    out.append(DiffElem(amb, {(first, w1): prod}))
+    return out
+
+
+def _oracle_h_projections(amb, elem):
+    by_g = {}
+    for (g, w), mat in elem.comps.items():
+        by_g.setdefault(g, {})[(g, w)] = mat
+    return [DiffElem(amb, comps) for comps in by_g.values()]
+
+
+def _oracle_ideal_closure(gens, side):
+    amb = gens[0].ambient
+    builder = EchelonBuilder(amb.dim)
+    step = _oracle_right_products if side == "right" else _oracle_left_products
+    work = list(gens)
+    while work:
+        added = [row for row in (builder.add(e.sparse_vector()) for e in work) if row is not None]
+        work = []
+        for row in added:
+            e = DiffElem.from_sparse(amb, row)
+            work += _oracle_h_projections(amb, e) + step(amb, e)
+    return SubSpan(amb, builder.basis())
+
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ideal_closures_match_the_element_oracle(data):
+    # the sparse-row step of _ideal_closure, without a projection step,
+    # against the element-level closure with one
+    field = data.draw(st.sampled_from([QQ, ZETA4]))
+    group = data.draw(st.sampled_from([cyclic_group(2), cyclic_group(3), C4, S3]))
+    n = data.draw(st.integers(1, 3))
+    if data.draw(st.booleans()):
+        gset = regular_gset(group)
+    else:
+        gset = coset_gset(group, data.draw(st.sampled_from(subgroups(group))))
+    amb = Ambient(group, n, gset=gset, field=field)
+    matrix = st.lists(scalars(field), min_size=n * n, max_size=n * n).map(
+        lambda entries: Mat.from_flat(entries, n, n)
+    )
+    keys = st.tuples(st.sampled_from(list(group.elements())), st.sampled_from(list(gset.points())))
+    gens = [
+        DiffElem(amb, data.draw(st.dictionaries(keys, matrix, min_size=1, max_size=3)))
+        for _ in range(data.draw(st.integers(1, 2)))
+    ]
+    assert left_ideal_closure(gens) == _oracle_ideal_closure(gens, "left")
+    assert right_ideal_closure(gens) == _oracle_ideal_closure(gens, "right")
+
+
+def _pairwise_operator_algebra(C):
+    """The algebra generated by the multiplication operators and the
+    evaluations of C, by closing their span under composition: each
+    operator the span gains is composed, on both sides, with every operator
+    gained so far."""
+    amb = C.ambient
+    size, n = amb.gset.size, amb.n
+    builder = EchelonBuilder(amb.module_dim ** 2)
+    gained = []
+    work = [gamma_op([amb.field.one if v == w else amb.field.zero for v in amb.gset.points()], amb)
+            for w in amb.gset.points()]
+    work += [evaluate(e, z) for e in C.basis_elems() for z in amb.group.elements()]
+    while work:
+        new = [BlockOp.from_entries(size, n, row)
+               for row in (builder.add(op.entries()) for op in work) if row is not None]
+        gained += new
+        work = [p for a in new for b in gained for p in (a * b, b * a)]
+    return builder.basis()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_operator_algebra_matches_pairwise_composition(data):
+    # the closure under left multiplication by the generators against the
+    # closure of the span under every pairwise composition
+    field = data.draw(st.sampled_from([QQ, ZETA4]))
+    group, n = data.draw(st.sampled_from(GRADING_CASES))
+    C = draw_span(data, Ambient(group, n, field=field))
+    assert operator_algebra(C) == _pairwise_operator_algebra(C)
