@@ -246,7 +246,12 @@ def run_phi(job, report):
 def run_wn(job, report):
     amb = _ambient_from_job(job)
     C = cend(amb)
-    basis = wn_span(C)
+    # the job gives no span: cend(amb) is closed by construction, so a
+    # refusal here is a broken invariant, not bad input
+    try:
+        basis = wn_span(C)
+    except WorkbenchError as exc:
+        raise InternalError(f"wn.span: {exc}") from exc
     N = amb.module_dim
     _check(
         report,

@@ -502,9 +502,16 @@ class EchelonBuilder:
 
     def add(self, vec):
         """Insert vec, a dense sequence or a sparse map; returns the new
-        canonical row as a sparse map, or None if vec is dependent."""
+        canonical row as a sparse map, or None if vec is dependent.
+
+        A builder with ``ambient`` pivots spans all of k^N, N = ambient,
+        which holds every vector and is closed under every linear map.  It
+        returns None without eliminating: the residual against its rows,
+        the N unit rows, would be zero."""
         if not isinstance(vec, dict) and len(vec) != self.ambient:
             raise LinAlgError(f"vector of length {len(vec)} in ambient {self.ambient}")
+        if len(self.index) == self.ambient:
+            return None
         vec = self.reduce(vec)
         if not vec:
             return None
@@ -550,11 +557,20 @@ def span_closure(ambient, seeds, step) -> SubspaceBasis:
     rows span the closure, so by linearity their images span its image.
     It terminates since each round either gains a row or ends, and the
     ambient space is finite-dimensional.
+
+    A round that leaves the echelon spanning k^N ends the closure, and
+    its gained rows are not stepped: k^N is closed under every linear map
+    and holds every vector, so no image can add a row.  The RREF of k^N
+    is the N unit rows whatever order they were gained in, so the
+    returned basis is the one a full loop would return.
     """
     builder = EchelonBuilder(ambient)
     work = list(seeds)
     while work:
-        work = [image for row in map(builder.add, work) if row is not None for image in step(row)]
+        gained = [row for row in map(builder.add, work) if row is not None]
+        if builder.dim == ambient:
+            break
+        work = [image for row in gained for image in step(row)]
     return builder.basis()
 
 

@@ -450,6 +450,26 @@ def test_broken_invariant_of_is_essential_exits_3(tmp_path, monkeypatch, capsys)
     assert not out_path.exists()
 
 
+def test_broken_invariant_of_wn_span_exits_3(tmp_path, monkeypatch, capsys):
+    # a wn job gives no span: cend(amb) is closed by construction, so
+    # wn_span refusing it is a broken invariant, exit 3 with no report
+    from pathlib import Path
+
+    import cendlab.workbench
+    from cendlab.cli import main
+
+    witness = {"kind": "product", "left": 0, "right": 0, "gamma": 0}
+    monkeypatch.setattr(cendlab.workbench, "subalgebra_closure_witness", lambda C: witness)
+    job_path = Path(__file__).parent / "golden" / "wn_c4_n2.job.json"
+    out_path = tmp_path / "report.json"
+    code = main(["wn", "--input", str(job_path), "--output", str(out_path)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"internal error: wn.span: span is not closed under the products ({witness})\n"
+    )
+    assert not out_path.exists()
+
+
 def _split_last_class(real):
     # {1, 3} for G1 = {0, 2} in C4 becomes two classes of one point each
     def broken(*args):

@@ -9,7 +9,7 @@ import pytest
 import cendlab.conformal
 import cendlab.workbench
 from cendlab.cli import run_job
-from cendlab.linalg import Mat
+from cendlab.linalg import EchelonBuilder, Mat
 
 GOLDEN = Path(__file__).parent / "golden"
 NAMES = sorted(p.name[: -len(".job.json")] for p in GOLDEN.glob("*.job.json"))
@@ -129,3 +129,28 @@ def test_closures_run_through_span_closure(name, monkeypatch):
     monkeypatch.setattr(cendlab.workbench, "span_closure", counted)
     check_golden(name, monkeypatch)
     assert calls
+
+
+@pytest.mark.parametrize("name", ["wn_c4_n2", "wn_cosets_s3", "ideal_left_essential"])
+def test_full_echelon_eliminates_nothing(name, monkeypatch):
+    # these jobs close spans that reach the whole space: every vector of
+    # M_n for wn, all of Cend for an essential ideal.  Once an echelon
+    # spans k^N it decides every vector, so no reduction may run on it
+    reduce, basis = EchelonBuilder.reduce, EchelonBuilder.basis
+    on_full, filled = [], []
+
+    def counted_reduce(self, vec):
+        if len(self.index) == self.ambient:
+            on_full.append(self.ambient)
+        return reduce(self, vec)
+
+    def counted_basis(self):
+        if len(self.index) == self.ambient:
+            filled.append(self.ambient)
+        return basis(self)
+
+    monkeypatch.setattr(EchelonBuilder, "reduce", counted_reduce)
+    monkeypatch.setattr(EchelonBuilder, "basis", counted_basis)
+    check_golden(name, monkeypatch)
+    assert filled
+    assert not on_full, f"{len(on_full)} reductions against a full echelon"

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from cendlab.fields import QQ, CyclotomicField
 from cendlab.linalg import (
@@ -8,6 +8,7 @@ from cendlab.linalg import (
     Mat,
     NotAutomorphismError,
     SubspaceBasis,
+    _insert,
     kernel_partition,
     matrix_units,
     nullspace,
@@ -102,6 +103,134 @@ def test_span_closure_output_closed(rng):
     basis = span_closure(3, seeds, step)
     for row in basis.rows:
         assert basis.contains(apply(list(row)))
+
+
+ZETA4 = CyclotomicField(4)
+
+
+def exhaustive_span_closure(ambient, seeds, step):
+    """The closure loop with no stop at k^N, kept as the oracle of
+    ``span_closure``: every gained row is stepped, and every image is
+    eliminated, also against a full echelon."""
+    builder = EchelonBuilder(ambient)
+
+    def add(vec):
+        vec = builder.reduce(vec)
+        return _insert(builder.index, vec) if vec else None
+
+    work = list(seeds)
+    while work:
+        work = [image for row in map(add, work) if row is not None for image in step(row)]
+    return builder.basis()
+
+
+def scalars(field):
+    if field is QQ:
+        return st.integers(-3, 3).map(QQ.scalar)
+    coeffs = st.lists(st.integers(-2, 2), min_size=field.degree, max_size=field.degree)
+    return coeffs.map(field.scalar)
+
+
+@st.composite
+def closure_problems(draw):
+    """(field, N, seeds, matrices, kind, cut): the step applies each
+    matrix to a row.  A "full" problem holds the cyclic shift and seeds
+    e_0, so its closure is k^N; a "proper" one has matrices that keep the
+    first ``cut`` coordinates invariant and seeds inside them, so its
+    closure lies in a proper subspace; a "random" one is unconstrained."""
+    field = draw(st.sampled_from([QQ, ZETA4]))
+    N = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["full", "proper", "random"]))
+    cut = draw(st.integers(0, N - 1)) if kind == "proper" else N
+    entry = st.one_of(st.just(field.zero), st.just(field.zero), scalars(field))
+
+    def vector(width):
+        head = draw(st.lists(entry, min_size=width, max_size=width))
+        return head + [field.zero] * (N - width)
+
+    def matrix():
+        # (M v)_i for i >= cut is zero on every v supported below cut
+        return [
+            [field.zero if i >= cut > j else draw(entry) for j in range(N)]
+            for i in range(N)
+        ]
+
+    matrices = [matrix() for _ in range(draw(st.integers(0, 3)))]
+    seeds = [vector(cut) for _ in range(draw(st.integers(0, 3)))]
+    if kind == "full":
+        matrices.append([[field.one if j == (i - 1) % N else field.zero for j in range(N)]
+                         for i in range(N)])
+        seeds.append({0: field.one})
+    # sparse seeds as well as dense ones
+    seeds = [
+        {j: a for j, a in enumerate(v) if a} if isinstance(v, list) and draw(st.booleans()) else v
+        for v in seeds
+    ]
+    return field, N, seeds, matrices, kind, cut
+
+
+def sparse_map_step(matrices, zero):
+    def step(row):
+        images = []
+        for m in matrices:
+            image = {}
+            for i, mrow in enumerate(m):
+                a = sum((mrow[j] * c for j, c in row.items()), zero)
+                if a:
+                    image[i] = a
+            images.append(image)
+        return images
+
+    return step
+
+
+@settings(max_examples=200, deadline=None)
+@given(closure_problems())
+def test_span_closure_matches_exhaustive_oracle(problem):
+    field, N, seeds, matrices, kind, cut = problem
+    step = sparse_map_step(matrices, field.zero)
+    got = span_closure(N, seeds, step)
+    expect = exhaustive_span_closure(N, seeds, step)
+    assert got.srows == expect.srows
+    assert got.pivots == expect.pivots
+    event(f"{kind}: closure {'is' if got.dim == N else 'is not'} k^N")
+    if kind == "full":
+        assert got.dim == N
+    elif kind == "proper":
+        assert got.dim <= cut < N
+
+
+def test_span_closure_steps_nothing_once_full():
+    # the seeds span k^2 in the first round, so no row is stepped
+    def step(row):
+        raise AssertionError("a full closure stepped a row")
+
+    basis = span_closure(2, [[q(1), q(1)], [q(0), q(2)]], step)
+    assert basis.rows == ((q(1), q(0)), (q(0), q(1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_echelon_add_on_full_builder(data):
+    field = data.draw(st.sampled_from([QQ, ZETA4]))
+    N = data.draw(st.integers(1, 5))
+    builder = EchelonBuilder(N)
+    for j in reversed(range(N)):
+        assert builder.add({j: data.draw(scalars(field).filter(bool))}) is not None
+    rows = builder.basis().srows
+
+    def reduce(vec):
+        raise AssertionError("a full builder eliminated a vector")
+
+    builder.reduce = reduce
+    vec = data.draw(st.lists(scalars(field), min_size=N, max_size=N))
+    assert builder.add(vec) is None
+    assert builder.add({j: a for j, a in enumerate(vec) if a}) is None
+    assert builder.basis().srows == rows
+    with pytest.raises(LinAlgError):
+        builder.add(vec + [field.zero])
+    with pytest.raises(LinAlgError):
+        builder.add(vec[1:])
 
 
 def test_kernel_partition_diagonal_blocks():
