@@ -5,7 +5,7 @@ A subgroup G1 of G together with a nowhere-zero table chi on G x G whose
 coset ratios are representative-independent determines a canonical
 irreducible subalgebra: the span of sum_{a in K} chi(g, a) T_g (x) T_a (x) m
 over g, cosets K of G1, and matrices m.  ``canonicalize`` reverses the
-construction: it reads off the subgroup from kernel supports of the
+construction: it reads off the subgroup from the row supports of the
 identity-slot component, straightens the per-point matrix automorphisms by
 conjugation, and returns the normalized table (value 1 at the stored coset
 representatives, which are minimal element ids).
@@ -20,12 +20,9 @@ from .linalg import (
     Mat,
     SubspaceBasis,
     automorphism_defect,
-    combination,
     dense_blocks,
-    kernel_partition,
     matrix_units,
     skolem_noether,
-    sparse_nullspace,
 )
 from .workbench import (
     GradedDecomposition,
@@ -180,17 +177,31 @@ def analyze_Se(C: SubSpan) -> GradedDecomposition:
     with NotSubalgebraError, and one whose enrichment is not full (some
     point block of some component S_g does not span M_n) with
     NotIrreducibleError, which carries the enriched dimension.  Then come
-    the block supports of the identity component (which must be the cosets
-    of a subgroup) and the per-point matrix automorphisms relating the
-    blocks to the stored representatives; these steps succeed on every
+    the classes of the identity component S_e (which must be the cosets of
+    a subgroup) and the per-point matrix automorphisms relating the blocks
+    to the stored representatives; these steps succeed on every
     irreducible subalgebra, so their refusals name broken invariants.
 
-    theta_g is read off the class component E_K (the part of S_e on the
-    blocks of the class K of g) without solving a system: E_K has
-    dimension n^2, and the columns of the block of rep = min K come first
-    among those it touches, so its projection at rep is invertible iff its
-    RREF pivots are exactly those n^2 columns, and it is then the
-    identity.  The row with pivot (rep, pq) has block theta_g(e_pq) at g."""
+    Both are read off the RREF rows of S_e, with no system solved.  The
+    support of a row is the set of point blocks it touches.  The classes
+    are the distinct supports, in the order of their least point;
+    comparing them with the cosets of the first checks that they partition
+    the points.  The class component E_K is the group of rows with support
+    K.  Each of its rows touches rep = min K and no smaller block, so its
+    pivot lies in rep's n^2 columns; n^2 rows with distinct pivots fill
+    them, and the row with pivot (rep, pq) has block theta_g(e_pq) at g.
+
+    Classes taken from the kernels of the block projections give the same
+    verdicts and data.  Past the grading every point block of S_e has rank
+    n^2.  If the kernel classes are cosets whose components (the parts of
+    S_e on the blocks of a class) have dimension n^2, S_e embeds in its
+    projections at the representatives, so the components fill S_e, which
+    is their direct sum over disjoint columns.  The RREF of such a sum is
+    the union of the parts' RREFs, and with invertible per-point maps each
+    row of a part touches every block of its class, so the supports are
+    the kernel classes.  Conversely, once the supports pass the checks
+    below, S_e is that direct sum by construction, and the kernel at each
+    point of K is the span of the other classes' rows."""
     amb = C.ambient
     group = amb.group
     n = amb.n
@@ -206,62 +217,40 @@ def analyze_Se(C: SubSpan) -> GradedDecomposition:
                 f"span is not irreducible: density fails at (g={g}, point={gamma})",
                 decomp.enriched_dim,
             )
-    s_e = decomp.components[0]
-    classes = kernel_partition(s_e, amb.gset.size, n2, amb.field)
-    classes = sorted(classes, key=min)
+    class_rows = {}
+    for row in decomp.components[0].srows:
+        support = tuple(sorted({c // n2 for c in row}))
+        class_rows.setdefault(support, []).append(row)
+    classes = sorted(class_rows, key=min)
     if 0 not in classes[0]:
         raise ClassifyError("identity point landed outside the first class")
-    subgroup = tuple(sorted(classes[0]))
+    subgroup = classes[0]
     if not is_subgroup(group, subgroup):
         raise ClassifyError(f"support of the identity class {subgroup} is not a subgroup")
-    expect = [tuple(c) for c in cosets(group, subgroup)]
-    if [tuple(c) for c in classes] != expect:
+    if classes != [tuple(c) for c in cosets(group, subgroup)]:
         raise ClassifyError("kernel classes are not the subgroup cosets")
-    reps = [min(c) for c in classes]
     zero = amb.field.zero
     theta_images = {}
     for k, cls in enumerate(classes):
-        ideal = _block_supported(amb, s_e, cls)
-        if ideal.dim != n2:
+        rows = class_rows[cls]
+        if len(rows) != n2:
             raise ClassifyError(
-                f"block component over class {k} has dimension {ideal.dim}, not n^2"
+                f"block component over class {k} has dimension {len(rows)}, not n^2"
             )
-        rep = reps[k]
-        if ideal.pivots != tuple(range(rep * n2, rep * n2 + n2)):
-            raise ClassifyError(f"projection at representative {rep} is not invertible")
         for g in cls:
             images = [
                 Mat.from_flat([row.get(g * n2 + t, zero) for t in range(n2)], n, n)
-                for row in ideal.srows
+                for row in rows
             ]
             defect = automorphism_defect(images, n, amb.field)
             if defect is not None:
                 raise ClassifyError(f"per-point map at {g} {defect}")
             theta_images[g] = images
-    decomp.classes = [tuple(c) for c in classes]
+    decomp.classes = classes
     decomp.subgroup = subgroup
-    decomp.reps = reps
+    decomp.reps = [cls[0] for cls in classes]
     decomp.theta_images = theta_images
     return decomp
-
-
-def _block_supported(amb: Ambient, basis: SubspaceBasis, cls) -> SubspaceBasis:
-    """Subspace of the span supported only on the given point blocks: the
-    combinations of the rows that vanish at every coordinate outside them.
-    Only coordinates some row touches impose a condition."""
-    n2 = amb.n * amb.n
-    keep = set(cls)
-    conditions = {}
-    for i, row in enumerate(basis.srows):
-        for c, a in row.items():
-            if c // n2 not in keep:
-                conditions.setdefault(c, {})[i] = a
-    if not conditions:
-        return basis
-    ker = sparse_nullspace(basis.dim, conditions.values(), amb.field.one)
-    return SubspaceBasis.from_vectors(
-        basis.ambient, [combination(coeffs, basis.srows) for coeffs in ker.srows]
-    )
 
 
 class ConfAutomorphism:

@@ -174,9 +174,10 @@ def run_phi(job, report):
     ok_prodlaw = True
     witness = None
     basis = [amb.basis_elem(*t) for t in amb.basis_indices()]
-    for x in basis:
+    families = [phi_inv(x) for x in basis]
+    for x, family in zip(basis, families):
         try:
-            back = phi(phi_inv(x))
+            back = phi(family)
         except NotTInvariantError as exc:
             ok_round = False
             witness = {"element": jsonio.diffelem_to_json(x), "not_invariant": exc.witness}
@@ -186,40 +187,29 @@ def run_phi(job, report):
             witness = jsonio.diffelem_to_json(x)
             break
     trials = job.get("trials")
-    exhaustive_cost = len(basis) * len(basis) * group.order
-    if trials is None and exhaustive_cost > 100000:
+    size = len(basis)
+    if trials is None and size * size * group.order > 100000:
         trials = 2000
     if trials is None:
         pairs = [
-            (a, b, g) for a in basis for b in basis for g in group.elements()
+            (i, j, g) for i in range(size) for j in range(size) for g in group.elements()
         ]
         mode = "exhaustive"
     else:
         rng = random.Random(int(job.get("seed", 0)))
         pairs = [
-            (
-                rng.choice(basis),
-                rng.choice(basis),
-                rng.randrange(group.order),
-            )
+            (rng.randrange(size), rng.randrange(size), rng.randrange(group.order))
             for _ in range(int(trials))
         ]
         mode = "random"
-    cache = {}
-
-    def family(x):
-        key = id(x)
-        if key not in cache:
-            cache[key] = phi_inv(x)
-        return cache[key]
-
     transport_witness = None
-    for a, b, g in pairs:
+    for i, j, g in pairs:
+        a, b = basis[i], basis[j]
         prod = diff_product(a, b, g)
         not_invariant = None
         # (a o_g b)(zg) = a(g) b(z): one set of block products serves the
         # transport and the product law
-        law = op_product(family(a), family(b), g)
+        law = op_product(families[i], families[j], g)
         try:
             transported = phi(law)
         except NotTInvariantError as exc:

@@ -507,7 +507,11 @@ class EchelonBuilder:
         A builder with ``ambient`` pivots spans all of k^N, N = ambient,
         which holds every vector and is closed under every linear map.  It
         returns None without eliminating: the residual against its rows,
-        the N unit rows, would be zero."""
+        the N unit rows, would be zero.
+
+        A sparse entry outside columns 0..N-1 raises LinAlgError.  No row
+        holds such a column, so it survives elimination, and only the
+        residuals about to be inserted are checked."""
         if not isinstance(vec, dict) and len(vec) != self.ambient:
             raise LinAlgError(f"vector of length {len(vec)} in ambient {self.ambient}")
         if len(self.index) == self.ambient:
@@ -515,6 +519,9 @@ class EchelonBuilder:
         vec = self.reduce(vec)
         if not vec:
             return None
+        for col in (min(vec), max(vec)):
+            if not 0 <= col < self.ambient:
+                raise LinAlgError(f"column {col} outside ambient {self.ambient}")
         return _insert(self.index, vec)
 
     def basis(self) -> SubspaceBasis:
@@ -581,7 +588,9 @@ def kernel_partition(basis: SubspaceBasis, block_count: int, block_size: int, fi
     the basis rows vanish on block i and on block j; classes are returned
     in order of their smallest block index.  A block no row touches has
     the whole space as its kernel, and only such blocks do, so it is
-    classed without an elimination.
+    classed without an elimination.  ``classify.analyze_Se`` reads the
+    classes of an identity component off its row supports; the tests
+    compare them with these.
     """
     if basis.ambient != block_count * block_size:
         raise LinAlgError("ambient does not factor into the given blocks")
@@ -628,40 +637,29 @@ def automorphism_defect(images, n, field=QQ):
 def skolem_noether(images, n, field=QQ) -> Mat:
     """Conjugating matrix for an inner automorphism of the n-by-n matrices.
 
-    ``images[p*n+q]`` must be the image of the (p,q) matrix unit.  Returns an
-    invertible U with U^-1 a U = phi(a) for all a; U is found as a nonzero
-    solution of the intertwining system a U = U phi(a), and any nonzero
-    solution is automatically invertible when phi really is an automorphism.
+    ``images[p*n+q]`` must be the image of the (p,q) matrix unit.  Returns
+    the invertible U with U^-1 a U = phi(a) for all a whose first nonzero
+    entry, in row-major order, is 1; U is unique up to a scalar.
+
+    It is built from n columns.  With V = U^-1, phi(e_p0) = v_p r_0, where
+    v_p is column p of V and r_0 is row 0 of V^-1 = U.  The first column c
+    where phi(e_00) = v_0 r_0 is nonzero is that of the first nonzero
+    entry r_0[c] of U, and the columns c of phi(e_00), ..., phi(e_(n-1)0)
+    form r_0[c] V, whose inverse is U scaled to 1 at that entry.
     """
-    units = matrix_units(n, field)
     if len(images) != n * n:
         raise NotAutomorphismError("need one image per matrix unit")
     defect = automorphism_defect(images, n, field)
     if defect is not None:
         raise NotAutomorphismError(f"map {defect}")
-    rows = []
-    zero = field.zero
-    for u_idx, unit in enumerate(units):
-        phi_u = images[u_idx]
-        for i in range(n):
-            for j in range(n):
-                row = [zero] * (n * n)
-                for k in range(n):
-                    c = unit.rows[i][k]
-                    if c:
-                        row[k * n + j] = row[k * n + j] + c
-                for k in range(n):
-                    c = phi_u.rows[k][j]
-                    if c:
-                        row[i * n + k] = row[i * n + k] - c
-                rows.append(row)
-    ker = nullspace(Mat(rows), field)
-    for cand in ker.rows:
-        u = Mat.from_flat(list(cand), n, n)
-        if u.rank() == n:
-            uinv = u.inverse()
-            for idx, unit in enumerate(units):
-                if uinv * unit * u != images[idx]:
-                    raise NotAutomorphismError("solution fails conjugation recheck")
-            return u
-    raise NotAutomorphismError("intertwining system has no invertible solution")
+    first = images[0].rows
+    c = next((j for j in range(n) if any(row[j] for row in first)), 0)
+    v = Mat([[images[p * n].rows[i][c] for p in range(n)] for i in range(n)])
+    try:
+        u = v.inverse()
+    except LinAlgError:
+        raise NotAutomorphismError("intertwining system has no invertible solution") from None
+    for idx, unit in enumerate(matrix_units(n, field)):
+        if v * unit * u != images[idx]:
+            raise NotAutomorphismError("solution fails conjugation recheck")
+    return u

@@ -4,12 +4,11 @@ from hypothesis import given, settings, strategies as st
 from cendlab.fields import QQ, CyclotomicField
 from cendlab.groups import cyclic_group, cosets, subgroups, symmetric_group, trivial_gset
 from cendlab.conformal import Ambient, DiffElem, SubSpan, cend, cur, diff_product, subalgebra_closure_witness
-from cendlab.linalg import Mat
+from cendlab.linalg import Mat, SubspaceBasis, combination, kernel_partition, sparse_nullspace
 from cendlab.classify import (
     ChiFunction,
     ClassifyError,
     ConfAutomorphism,
-    _block_supported,
     InvalidChiError,
     NonScalarError,
     analyze_Se,
@@ -112,6 +111,27 @@ def test_chi_span_matches_its_elements(data):
     assert span.basis.pivots == oracle.basis.pivots
 
 
+def block_supported(amb, basis, cls):
+    """Subspace of the span supported only on the given point blocks: the
+    combinations of the rows that vanish at every coordinate outside them.
+    Only coordinates some row touches impose a condition.  It is the class
+    component E_K solved as a null space; ``analyze_Se`` reads it off the
+    RREF rows of S_e instead."""
+    n2 = amb.n * amb.n
+    keep = set(cls)
+    conditions = {}
+    for i, row in enumerate(basis.srows):
+        for c, a in row.items():
+            if c // n2 not in keep:
+                conditions.setdefault(c, {})[i] = a
+    if not conditions:
+        return basis
+    ker = sparse_nullspace(basis.dim, conditions.values(), amb.field.one)
+    return SubspaceBasis.from_vectors(
+        basis.ambient, [combination(coeffs, basis.srows) for coeffs in ker.srows]
+    )
+
+
 def inverse_theta_images(amb, s_e, classes):
     """The maps theta_g solved through the inverse of each class
     component's projection at its representative min K: theta_g(e_pq) is
@@ -124,7 +144,7 @@ def inverse_theta_images(amb, s_e, classes):
     out = {}
     for cls in classes:
         rep = min(cls)
-        ideal = _block_supported(amb, s_e, cls)
+        ideal = block_supported(amb, s_e, cls)
         proj_rep = Mat(
             [[row.get(rep * n2 + t, field.zero) for t in range(n2)] for row in ideal.srows]
         )
@@ -176,9 +196,18 @@ def test_theta_read_off_matches_the_inverse_oracle(data):
         us.append(u)
     image = apply_automorphism(build_sigma(us, amb), build_C(group, sub, chi, n, field))
     decomp = analyze_Se(image)
+    s_e = decomp.components[0]
     classes = cosets(group, sub)
     assert decomp.classes == [tuple(c) for c in classes]
-    assert decomp.theta_images == inverse_theta_images(amb, decomp.components[0], classes)
+    # the classes are the kernel classes, and the rows of S_e inside each
+    # class are its component E_K solved as a null space
+    n2 = n * n
+    kernel_classes = sorted(kernel_partition(s_e, order, n2, field), key=min)
+    assert decomp.classes == [tuple(c) for c in kernel_classes]
+    for cls in decomp.classes:
+        rows = [row for row in s_e.srows if {c // n2 for c in row} <= set(cls)]
+        assert rows == list(block_supported(amb, s_e, cls).srows)
+    assert decomp.theta_images == inverse_theta_images(amb, s_e, classes)
     sub_out, chi_out, sigma_out = canonicalize(image, decomp)
     assert sub_out == tuple(sub)
     assert apply_automorphism(sigma_out, image) == build_C(group, sub_out, chi_out, n, field)

@@ -470,48 +470,45 @@ def test_broken_invariant_of_wn_span_exits_3(tmp_path, monkeypatch, capsys):
     assert not out_path.exists()
 
 
-def _split_last_class(real):
-    # {1, 3} for G1 = {0, 2} in C4 becomes two classes of one point each
-    def broken(*args):
-        classes = real(*args)
-        return classes[:-1] + [[x] for x in classes[-1]]
-
-    return broken
+def _cut_block_3(s_e, n2):
+    # the rows of class {1, 3} for G1 = {0, 2} in C4 lose their entries at
+    # point 3, so their support is {1} and point 3 lies in no class
+    return [{c: a for c, a in row.items() if c // n2 != 3} for row in s_e.srows]
 
 
-def _drop_representative_block(real):
-    # the class component over {1, 3} loses its entries at the
-    # representative 1, so its projection there is singular
-    from cendlab.linalg import SubspaceBasis
-
-    def broken(amb, basis, cls):
-        ideal = real(amb, basis, cls)
-        if min(cls) == 0:
-            return ideal
-        start = (min(cls) + 1) * amb.n * amb.n
-        rows = [{c: a for c, a in row.items() if c >= start} for row in ideal.srows]
-        return SubspaceBasis.from_vectors(ideal.ambient, rows)
-
-    return broken
+def _drop_last_row(s_e, n2):
+    # the class {1, 3} keeps n^2 - 1 = 3 of its rows
+    return list(s_e.srows[:-1])
 
 
-@pytest.mark.parametrize("target, breakage, message", [
-    ("kernel_partition", _split_last_class, "kernel classes are not the subgroup cosets"),
-    ("_block_supported", _drop_representative_block,
-     "projection at representative 1 is not invertible"),
-], ids=["classes-not-cosets", "singular-projection"])
+@pytest.mark.parametrize("name, breakage, message", [
+    ("classify_subgroup_c4", _cut_block_3, "kernel classes are not the subgroup cosets"),
+    ("classify_generators_c4_n2", _drop_last_row,
+     "block component over class 1 has dimension 3, not n^2"),
+], ids=["classes-not-cosets", "short-class-component"])
 def test_broken_invariant_of_analyze_exits_3(
-    tmp_path, monkeypatch, capsys, target, breakage, message
+    tmp_path, monkeypatch, capsys, name, breakage, message
 ):
     # past the grading and the rank check, analyze_Se refuses only on a
-    # broken invariant: exit 3 with the invariant named and no report
+    # broken invariant: exit 3 with the invariant named and no report.  The
+    # identity component the grading hands over is corrupted
     from pathlib import Path
 
     import cendlab.classify
     from cendlab.cli import main
+    from cendlab.linalg import SubspaceBasis
 
-    monkeypatch.setattr(cendlab.classify, target, breakage(getattr(cendlab.classify, target)))
-    job_path = Path(__file__).parent / "golden" / "classify_subgroup_c4.job.json"
+    real = cendlab.classify.grading
+
+    def broken(span):
+        decomp = real(span)
+        s_e = decomp.components[0]
+        n2 = span.ambient.n * span.ambient.n
+        decomp.components[0] = SubspaceBasis.from_vectors(s_e.ambient, breakage(s_e, n2))
+        return decomp
+
+    monkeypatch.setattr(cendlab.classify, "grading", broken)
+    job_path = Path(__file__).parent / "golden" / f"{name}.job.json"
     out_path = tmp_path / "report.json"
     code = main(["classify", "--input", str(job_path), "--output", str(out_path)])
     assert code == 3
@@ -582,6 +579,48 @@ def test_canonicalize_eliminates_only_inside_components(tmp_path, monkeypatch, n
     assert len(algebra_dims) == 1 and ambients
     assert algebra_dims[0] not in ambients
     assert forbidden == []
+
+
+@pytest.mark.parametrize("name", CANONICALIZED_GOLDENS)
+def test_classify_solves_no_null_space(tmp_path, monkeypatch, name):
+    # the classes, the class components and the conjugators are read off
+    # rows and columns the classification already holds; the report is the
+    # golden one
+    from pathlib import Path
+
+    import cendlab.classify
+    import cendlab.cli
+    import cendlab.linalg
+
+    inside = []
+    solved = []
+    real_run = cendlab.cli.RUNNERS["classify"]
+
+    def run_classify(job, report):
+        inside.append(True)
+        try:
+            return real_run(job, report)
+        finally:
+            inside.pop()
+
+    def watched(label, real):
+        def call(*args):
+            if inside:
+                solved.append(label)
+            return real(*args)
+
+        return call
+
+    monkeypatch.setitem(cendlab.cli.RUNNERS, "classify", run_classify)
+    for label in ("nullspace", "sparse_nullspace"):
+        wrapper = watched(label, getattr(cendlab.linalg, label))
+        monkeypatch.setattr(cendlab.linalg, label, wrapper)
+        # also any binding of its own that classify holds
+        monkeypatch.setattr(cendlab.classify, label, wrapper, raising=False)
+    code, report = run_main_on_golden(tmp_path, name)
+    golden = Path(__file__).parent / "golden" / f"{name}.report.json"
+    assert code == 0 and report == json.loads(golden.read_text())
+    assert solved == []
 
 
 @pytest.mark.parametrize("name", ["classify_subgroup_c4", "classify_cyclotomic_c4"])

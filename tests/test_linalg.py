@@ -9,6 +9,7 @@ from cendlab.linalg import (
     NotAutomorphismError,
     SubspaceBasis,
     _insert,
+    automorphism_defect,
     kernel_partition,
     matrix_units,
     nullspace,
@@ -297,6 +298,73 @@ def test_skolem_noether_random_conjugations(rng):
             )
 
 
+def nullspace_skolem_noether(images, n, field=QQ):
+    """Conjugator solved as the null space of the n^4 x n^2 intertwining
+    system a U = U phi(a); any nonzero solution is invertible when phi is
+    an automorphism.  ``skolem_noether`` builds it from n columns of the
+    images instead; this is its oracle."""
+    units = matrix_units(n, field)
+    if len(images) != n * n:
+        raise NotAutomorphismError("need one image per matrix unit")
+    defect = automorphism_defect(images, n, field)
+    if defect is not None:
+        raise NotAutomorphismError(f"map {defect}")
+    rows = []
+    zero = field.zero
+    for u_idx, unit in enumerate(units):
+        phi_u = images[u_idx]
+        for i in range(n):
+            for j in range(n):
+                row = [zero] * (n * n)
+                for k in range(n):
+                    c = unit.rows[i][k]
+                    if c:
+                        row[k * n + j] = row[k * n + j] + c
+                for k in range(n):
+                    c = phi_u.rows[k][j]
+                    if c:
+                        row[i * n + k] = row[i * n + k] - c
+                rows.append(row)
+    ker = nullspace(Mat(rows), field)
+    for cand in ker.rows:
+        u = Mat.from_flat(list(cand), n, n)
+        if u.rank() == n:
+            uinv = u.inverse()
+            for idx, unit in enumerate(units):
+                if uinv * unit * u != images[idx]:
+                    raise NotAutomorphismError("solution fails conjugation recheck")
+            return u
+    raise NotAutomorphismError("intertwining system has no invertible solution")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_skolem_noether_matches_the_nullspace_oracle(data):
+    # conjugations by random invertible U, and the same images with one
+    # entry of one image shifted; a singular draw is shifted by the identity
+    # until it is invertible
+    field = data.draw(st.sampled_from([QQ, ZETA4]))
+    n = data.draw(st.integers(1, 3))
+    u = Mat.from_flat(data.draw(st.lists(scalars(field), min_size=n * n, max_size=n * n)), n, n)
+    while u.rank() != n:
+        u = u + Mat.identity(n, field)
+    uinv = u.inverse()
+    images = [uinv * unit * u for unit in matrix_units(n, field)]
+    if data.draw(st.booleans()):
+        idx = data.draw(st.integers(0, n * n - 1))
+        pos = data.draw(st.integers(0, n * n - 1))
+        flat = images[idx].flatten()
+        flat[pos] = flat[pos] + data.draw(scalars(field).filter(bool))
+        images[idx] = Mat.from_flat(flat, n, n)
+        with pytest.raises(NotAutomorphismError) as expect:
+            nullspace_skolem_noether(images, n, field)
+        with pytest.raises(NotAutomorphismError) as got:
+            skolem_noether(images, n, field)
+        assert str(got.value) == str(expect.value)
+    else:
+        assert skolem_noether(images, n, field) == nullspace_skolem_noether(images, n, field)
+
+
 def test_skolem_noether_cyclotomic():
     F = CyclotomicField(4)
     i = F.zeta()
@@ -322,6 +390,14 @@ def test_mat_inverse_and_det():
     assert qmat([[1, 2], [2, 4]]).det() == q(0)
     with pytest.raises(LinAlgError):
         qmat([[1, 2], [2, 4]]).inverse()
+
+
+def test_echelon_add_rejects_columns_outside_the_ambient():
+    builder = EchelonBuilder(2)
+    for vec, col in (({5: q(1)}, 5), ({-1: q(1)}, -1), ({0: q(1), 5: q(1)}, 5)):
+        with pytest.raises(LinAlgError, match=f"column {col} outside ambient 2"):
+            builder.add(vec)
+        assert builder.dim == 0
 
 
 def test_echelon_builder_tracks_membership():
