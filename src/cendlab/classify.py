@@ -20,9 +20,9 @@ from .linalg import (
     Mat,
     SubspaceBasis,
     automorphism_defect,
+    conjugator_pair,
     dense_blocks,
     matrix_units,
-    skolem_noether,
 )
 from .workbench import (
     GradedDecomposition,
@@ -419,12 +419,12 @@ def canonicalize(C: SubSpan, decomp: GradedDecomposition | None = None):
     n2 = n * n
     ident = Mat.identity(n, amb.field)
     rep_set = set(decomp.reps)
-    invs = [
-        ident if g in rep_set else skolem_noether(decomp.theta_images[g], n, amb.field)
+    # each conjugator U_g comes with its inverse, the matrix it was built from
+    pairs = [
+        (ident, ident) if g in rep_set else conjugator_pair(decomp.theta_images[g], n, amb.field)
         for g in amb.group.elements()
     ]
-    us = [ident if g in rep_set else v.inverse() for g, v in enumerate(invs)]
-    sigma = ConfAutomorphism(amb, us, invs)
+    sigma = ConfAutomorphism(amb, [w for w, _ in pairs], [u for _, u in pairs])
     components = {}
     for g, comp in decomp.components.items():
         images = []

@@ -31,7 +31,8 @@ from .classify import (
     chi_span,
     validate_chi,
 )
-from .conformal import Ambient, cend, check_axioms, check_axioms_exhaustive_basis, diff_product
+from .conformal import Ambient, cend, check_axioms, check_axioms_exhaustive_basis
+from .conformal import diff_product, diff_product_sweedler
 from .fields import FieldError, field_from_spec
 from .groups import GroupError, cosets, is_subgroup, is_transitive, make_group, make_gset
 from .linalg import LinAlgError
@@ -86,6 +87,15 @@ def _check(report, check_id, passed, detail=None):
         report["passed"] = False
 
 
+def _count(job, key, default, least=0):
+    """The job's integer ``key`` (``default`` if absent); a value below
+    ``least`` would check nothing and is refused."""
+    value = job.get(key, default)
+    if value is not None and int(value) < least:
+        raise JobError(f"{key!r} must be at least {least}, not {value}")
+    return value if value is None else int(value)
+
+
 def _ambient_from_job(job) -> Ambient:
     field = field_from_spec(os.environ.get("CENDLAB_FIELD") or job.get("field"))
     try:
@@ -109,17 +119,12 @@ def _generators_span(job, amb):
 
 def run_axioms(job, report):
     amb = _ambient_from_job(job)
-    trials = job.get("trials")
+    trials = _count(job, "trials", None)
     if trials is None and amb.dim <= 16:
         res = check_axioms_exhaustive_basis(amb)
-    elif trials is None:
-        res = check_axioms(
-            [amb.basis_elem(*t) for t in amb.basis_indices()], trials=200
-        )
     else:
-        res = check_axioms(
-            [amb.basis_elem(*t) for t in amb.basis_indices()], trials=int(trials)
-        )
+        basis = [amb.basis_elem(*t) for t in amb.basis_indices()]
+        res = check_axioms(basis, trials=200 if trials is None else trials)
     ce = res["counterexample"]
     kind = ce["kind"] if ce else None
     _check(
@@ -186,7 +191,7 @@ def run_phi(job, report):
             ok_round = False
             witness = jsonio.diffelem_to_json(x)
             break
-    trials = job.get("trials")
+    trials = _count(job, "trials", None)
     size = len(basis)
     if trials is None and size * size * group.order > 100000:
         trials = 2000
@@ -199,7 +204,7 @@ def run_phi(job, report):
         rng = random.Random(int(job.get("seed", 0)))
         pairs = [
             (rng.randrange(size), rng.randrange(size), rng.randrange(group.order))
-            for _ in range(int(trials))
+            for _ in range(trials)
         ]
         mode = "random"
     transport_witness = None
@@ -224,7 +229,8 @@ def run_phi(job, report):
             if not_invariant is not None:
                 transport_witness["not_invariant"] = not_invariant
             break
-        if any(law.at(z) != evaluate(prod, z) for z in group.elements()):
+        # the right side from the Sweedler expansion, not from diff_product
+        if transported != diff_product_sweedler(a, b, g):
             ok_prodlaw = False
             break
     _check(report, "phi.roundtrip", ok_round, witness)
@@ -426,7 +432,7 @@ def run_weyl(job, report):
     _check(report, "weyl.products", prods_ok)
     c2_ok = True
     loc_ok = True
-    deg = int(job.get("degree", 3))
+    deg = _count(job, "degree", 3)
     monos = [
         WeylElem.monomial(field, r, s) for r in range(deg + 1) for s in range(deg + 1)
     ]
@@ -462,7 +468,7 @@ def run_weyl(job, report):
 
 
 def run_operad(job, report):
-    max_m = int(job.get("max_m", 8))
+    max_m = _count(job, "max_m", 8, least=1)
     import random
 
     rng = random.Random(int(job.get("seed", 0)))
@@ -503,7 +509,7 @@ def run_operad(job, report):
         )
 
     assoc_ok = True
-    trials = int(job.get("trials", 25))
+    trials = _count(job, "trials", 25)
     for _ in range(trials):
         n_mid = rng.randint(1, 3)
         pi_parts = [rng.randint(1, 2) for _ in range(n_mid)]

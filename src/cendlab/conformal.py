@@ -203,34 +203,26 @@ def diff_product_sweedler(x: DiffElem, y: DiffElem, gamma: int) -> DiffElem:
     amb = x.ambient
     group, gset, field = amb.group, amb.gset, amb.field
     ginv = group.inv(gamma)
-    out = DiffElem(amb, {})
+    out = {}
     for (g1, w1), m1 in x.comps.items():
         h_at = basis_h(group, g1, field).value_at(ginv)  # h(gamma^-1)
         if not h_at:
             continue
         for (g2, w2), m2 in y.comps.items():
-            # coaction of the A-part of y, H-leg evaluated at gamma
-            ca = coaction(basis_a(gset, w2, field))
+            # coaction of the A-part of y, H-leg evaluated at gamma; of its
+            # A-legs b_(2) = T_v, only v = w1 survives a = T_{w1} times T_v
+            c = coaction(basis_a(gset, w2, field)).rows[gamma][w1]
+            if not c:
+                continue
             shifted = left_shift(gamma, basis_h(group, g2, field))
             m1m2 = m1 * m2
-            comps = {}
             for first, c_first in enumerate(shifted.coeffs):
-                if not c_first:
-                    continue
-                for v in gset.points():
-                    c = ca.rows[gamma][v]
-                    if not c:
-                        continue
-                    # multiply a = T_{w1} by b_(2) = T_v in A
-                    if v != w1:
-                        continue
-                    coeff = h_at * c_first * c
-                    mat = m1m2.scale(coeff)
-                    key = (first, v)
-                    acc = comps.get(key)
-                    comps[key] = mat if acc is None else acc + mat
-            out = out + DiffElem(amb, comps)
-    return out
+                if c_first:
+                    mat = m1m2.scale(h_at * c_first * c)
+                    key = (first, w1)
+                    acc = out.get(key)
+                    out[key] = mat if acc is None else acc + mat
+    return DiffElem(amb, out)
 
 
 def h_action(f: HElem, x: DiffElem) -> DiffElem:

@@ -197,8 +197,9 @@ def subgroups(group: FiniteGroup):
 
 
 def is_subgroup(group: FiniteGroup, subset) -> bool:
+    """Whether the ids form a subgroup; ids outside 0..|G|-1 do not."""
     ids = set(subset)
-    if 0 not in ids:
+    if 0 not in ids or not all(a in group.elements() for a in ids):
         return False
     return all(
         group.mul(a, b) in ids and group.inv(a) in ids for a in ids for b in ids
@@ -341,6 +342,8 @@ def make_gset(group: FiniteGroup, spec) -> GSet:
             return trivial_gset(group, int(spec.get("size", 1)))
         if kind == "union":
             parts = [make_gset(group, s) for s in spec["parts"]]
+            if not parts:
+                raise GroupError("a union G-set needs at least one part")
             out = parts[0]
             for p in parts[1:]:
                 out = disjoint_union(out, p)

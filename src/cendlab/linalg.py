@@ -634,18 +634,19 @@ def automorphism_defect(images, n, field=QQ):
     return None
 
 
-def skolem_noether(images, n, field=QQ) -> Mat:
-    """Conjugating matrix for an inner automorphism of the n-by-n matrices.
+def conjugator_pair(images, n, field=QQ):
+    """(U^-1, U) for an inner automorphism phi of the n-by-n matrices.
 
-    ``images[p*n+q]`` must be the image of the (p,q) matrix unit.  Returns
-    the invertible U with U^-1 a U = phi(a) for all a whose first nonzero
-    entry, in row-major order, is 1; U is unique up to a scalar.
+    ``images[p*n+q]`` must be the image of the (p,q) matrix unit.  U is
+    the invertible matrix with U^-1 a U = phi(a) for all a whose first
+    nonzero entry, in row-major order, is 1; U is unique up to a scalar.
 
     It is built from n columns.  With V = U^-1, phi(e_p0) = v_p r_0, where
     v_p is column p of V and r_0 is row 0 of V^-1 = U.  The first column c
     where phi(e_00) = v_0 r_0 is nonzero is that of the first nonzero
     entry r_0[c] of U, and the columns c of phi(e_00), ..., phi(e_(n-1)0)
-    form r_0[c] V, whose inverse is U scaled to 1 at that entry.
+    form r_0[c] V, whose inverse is U scaled to 1 at that entry.  V is
+    returned with U, so a caller that needs both inverts nothing.
     """
     if len(images) != n * n:
         raise NotAutomorphismError("need one image per matrix unit")
@@ -662,4 +663,10 @@ def skolem_noether(images, n, field=QQ) -> Mat:
     for idx, unit in enumerate(matrix_units(n, field)):
         if v * unit * u != images[idx]:
             raise NotAutomorphismError("solution fails conjugation recheck")
-    return u
+    return v, u
+
+
+def skolem_noether(images, n, field=QQ) -> Mat:
+    """Conjugating matrix U of an inner automorphism of the n-by-n
+    matrices, as ``conjugator_pair`` builds it."""
+    return conjugator_pair(images, n, field)[1]

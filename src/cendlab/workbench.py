@@ -20,14 +20,15 @@ column index built from the blocks.  Dense N x N matrices (N = |V| n) are
 built only for the oracles of the tests.
 
 Closure and the enrichment of a span are decided on one route, ``grading``:
-first-slot components, the graded product rule and per-block ranks.  The
-product rule closes a greedy generating set of the span under left
-multiplication, so it multiplies about (generators) x dim S pairs, not
-every pair of basis rows.  Both ``is_irreducible`` and
-``classify.analyze_Se`` call ``grading``.  The closure witness
-``conformal.subalgebra_closure_witness``, the explicit enrichment ``enrich``
-and the operator-side ``operator_algebra`` stay as independent oracles that
-the tests compare the route with; no decision calls them.
+first-slot components read off the span's RREF rows, the graded product
+rule and per-block ranks.  The product rule closes a greedy generating set
+of the span under left multiplication, so it multiplies about
+(generators) x dim S pairs, not every pair of basis rows.  Both
+``is_irreducible`` and ``classify.analyze_Se`` call ``grading``.  The
+closure witness ``conformal.subalgebra_closure_witness`` and the explicit
+enrichment ``enrich`` stay as independent oracles that the tests compare
+the route with, beside the operator-side ``operator_algebra`` of the
+tests; no decision calls them.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .linalg import (
     Mat,
     SubspaceBasis,
     dense_blocks,
-    nullspace,
     span_closure,
     sparse_nullspace,
 )
@@ -266,26 +266,6 @@ def wn_span(C: SubSpan) -> SubspaceBasis:
     return SubspaceBasis.from_vectors(amb.module_dim ** 2, vectors)
 
 
-def operator_algebra(C: SubSpan) -> SubspaceBasis:
-    """Unital algebra generated by the evaluations of C and the
-    multiplication operators, by closing the generators under left
-    multiplication by them; the products are block products.  The closure
-    is the span of every word in the generators, which is closed under
-    composition, and it holds the identity, the sum of the Gamma_w.  This
-    is the independent, operator-side route to the irreducibility
-    decisions."""
-    amb = C.ambient
-    size, n = amb.gset.size, amb.n
-    gens = [gamma_op(_point_fn(amb, w), amb) for w in amb.gset.points()]
-    gens += [evaluate(e, z) for e in C.basis_elems() for z in evaluation_points(e)]
-
-    def step(row):
-        right = BlockOp.from_entries(size, n, row)
-        return [(gen * right).entries() for gen in gens]
-
-    return span_closure(amb.module_dim ** 2, [gen.entries() for gen in gens], step)
-
-
 def module_closure(ops, seeds, N):
     """For each seed in turn, the smallest subspace of M containing it and
     invariant under the ``BlockOp``s ops, by ``span_closure``.  An index
@@ -303,25 +283,6 @@ def module_closure(ops, seeds, N):
 
     for seed in seeds:
         yield span_closure(N, [seed], step)
-
-
-def centralizer(ops, N, field) -> SubspaceBasis:
-    """All matrices commuting with every op, as flattened vectors."""
-    rows = []
-    zero = field.zero
-    for op in ops:
-        for i in range(N):
-            for j in range(N):
-                row = [zero] * (N * N)
-                for k in range(N):
-                    c = op.rows[k][j]
-                    if c:
-                        row[i * N + k] = row[i * N + k] + c
-                    c2 = op.rows[i][k]
-                    if c2:
-                        row[k * N + j] = row[k * N + j] - c2
-                rows.append(row)
-    return nullspace(Mat(rows), field)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +307,7 @@ class GradedDecomposition:
 
     def __init__(self, ambient, components):
         self.ambient = ambient
-        self.components = components  # g -> SubspaceBasis in A (x) M_n coords
+        self.components = components  # g -> SubspaceBasis in A (x) M_n coords, or None
         self.defect = None
         self.ranks = None
         self.classes = None
@@ -359,20 +320,25 @@ class GradedDecomposition:
         return sum(self.ranks.values())
 
 
-def _first_slot_components(C: SubSpan):
-    """The first-slot projections S_g of a span, g -> SubspaceBasis in
-    A (x) M_n coordinates.  They reassemble the span iff it is homogeneous."""
+def _first_slot_rows(C: SubSpan):
+    """The span's RREF rows grouped by first slot, with no elimination:
+    (components, None), components[g] holding the rows inside block g
+    moved into A (x) M_n coordinates, when every row lies inside one block;
+    otherwise (None, a phrase naming the first row that does not and two
+    first slots it touches).  A row lies in the block of its pivot, its
+    least column, iff its last column does."""
     amb = C.ambient
     block = amb.gset.size * amb.n * amb.n
-    pieces = {g: [] for g in amb.group.elements()}
-    for row in C.basis.srows:
-        split = {}
-        for k, a in row.items():
-            g, c = divmod(k, block)
-            split.setdefault(g, {})[c] = a
-        for g, piece in split.items():
-            pieces[g].append(piece)
-    return {g: SubspaceBasis.from_vectors(block, vectors) for g, vectors in pieces.items()}
+    rows = {g: ([], []) for g in amb.group.elements()}
+    for i, (row, piv) in enumerate(zip(C.basis.srows, C.basis.pivots)):
+        g, last = piv // block, max(row) // block
+        if last != g:
+            return None, f"RREF row {i} touches first slots {g} and {last}"
+        base = g * block
+        srows, pivots = rows[g]
+        srows.append({k - base: a for k, a in row.items()})
+        pivots.append(piv - base)
+    return {g: SubspaceBasis(block, *parts) for g, parts in rows.items()}, None
 
 
 def _graded_product(amb: Ambient, x, y, shift):
@@ -469,43 +435,53 @@ def grading(C: SubSpan) -> GradedDecomposition:
     defect.  ``conformal.subalgebra_closure_witness`` and ``enrich`` are the
     independent oracles the tests compare it with.
 
-    Closure: the span is an H-submodule iff it is homogeneous, i.e. its
-    first-slot components S_g add up to it, and a homogeneous span is
-    closed under the products iff S_g . (shift of S_h) lies in S_{gh} for
-    all g, h.  The rule is decided from a generating set of S, not pair by
-    pair of basis rows: ``_product_rule`` closes the generators under left
-    multiplication inside S.  ``defect`` is None when the span is closed,
-    otherwise a phrase naming a pair (g, h) with a product of S_g and
-    S_h outside S_{gh}.
+    Closure: the span is an H-submodule iff it is homogeneous, the direct
+    sum of its first-slot components S_g, which lie in disjoint column
+    blocks.  The union of the parts' RREFs is an RREF of such a sum (its
+    pivots are distinct and each row is zero at every other pivot), so by
+    uniqueness it is the sum's RREF; conversely, rows that each lie in one
+    block make the span the direct sum of their groups.  So S_g is the
+    group of RREF rows inside block g, and a row reaching into two blocks
+    is the witness that the span is inhomogeneous (``components`` is then
+    None).  A homogeneous span is closed under the products iff S_g .
+    (shift of S_h) lies in S_{gh} for all g, h, which ``_product_rule``
+    decides from a generating set of S, not pair by pair of basis rows.
+    ``defect`` is None when the span is closed, otherwise a phrase naming
+    the witness row or a pair (g, h) with a product outside S_{gh}.
 
     Enrichment: ``ranks[(g, w)]`` is the rank of the span's projection onto
-    the (g, w) block.  ``enrich`` spans exactly these block projections, so
-    ``enriched_dim``, their sum, is the dimension of the enrichment for any
-    span, and the enrichment is full iff every rank is n^2.
+    the (g, w) block, spanned by the (g, w) blocks of the RREF rows.
+    ``enrich`` spans exactly these block projections, so ``enriched_dim``,
+    their sum, is the dimension of the enrichment for any span, and the
+    enrichment is full iff every rank is n^2.
 
-    Every row of a component is read as a map from its nonzero point
-    blocks to n x n blocks, so the products and the ranks visit only those.
+    Each RREF row is cut once into its nonzero (g, w) blocks, read by the
+    products and the ranks; nothing is eliminated again.
     """
     amb = C.ambient
+    size = amb.gset.size
     n2 = amb.n * amb.n
-    zero = amb.field.zero
-    decomp = GradedDecomposition(amb, _first_slot_components(C))
-    blocks = {
-        g: [dense_blocks(row, n2, zero) for row in comp.srows]
-        for g, comp in decomp.components.items()
+    components, witness = _first_slot_rows(C)
+    decomp = GradedDecomposition(amb, components)
+    cuts = [dense_blocks(row, n2, amb.field.zero) for row in C.basis.srows]
+    slices = {}
+    for cut in cuts:
+        for b, flat in cut.items():
+            slices.setdefault(b, []).append(flat)
+    decomp.ranks = {
+        (g, w): Mat(slices.get(g * size + w, [])).rank()
+        for g in amb.group.elements()
+        for w in amb.gset.points()
     }
-    total = sum(comp.dim for comp in decomp.components.values())
-    if total != C.dim:
-        decomp.defect = (
-            "not homogeneous in the first slot; projections give total "
-            f"dimension {total} against span dimension {C.dim}"
-        )
-    else:
-        decomp.defect = _product_rule(amb, decomp.components, blocks)
-    decomp.ranks = {}
-    for g, rows in blocks.items():
-        for w in amb.gset.points():
-            decomp.ranks[(g, w)] = Mat([x[w] for x in rows if w in x]).rank()
+    if components is None:
+        decomp.defect = f"not homogeneous in the first slot; {witness}"
+        return decomp
+    # each component row as a map from its points to its n x n blocks
+    blocks = {g: [] for g in components}
+    for cut in cuts:
+        g = min(cut) // size
+        blocks[g].append({b - g * size: flat for b, flat in cut.items()})
+    decomp.defect = _product_rule(amb, components, blocks)
     return decomp
 
 
@@ -731,14 +707,18 @@ def ideal_shape(B: SubSpan, side: str) -> SubspaceBasis:
     ideal of M_n(A); a left ideal factors the same way after pulling back
     through the twist.  A failure to factor certifies the span was not an
     ideal of that side, reported as IdealShapeError.
+
+    The span factors iff it is homogeneous with every first-slot component
+    equal to B0.  As in ``grading``, the RREF of a direct sum over disjoint
+    column blocks is the union of the parts' RREFs, so its RREF rows,
+    grouped by first slot, decide that and give B0 with no elimination.
     """
     if side not in ("left", "right"):
         raise WorkbenchError(f"side must be 'left' or 'right', not {side!r}")
     span = fourier_span(B, inverse=True) if side == "left" else B
-    projections = list(_first_slot_components(span).values())
-    first = projections[0]
-    dims = sum(p.dim for p in projections)
-    if any(p != first for p in projections[1:]) or dims != span.dim:
+    components, _ = _first_slot_rows(span)
+    first = None if components is None else components[0]
+    if first is None or any(p != first for p in components.values()):
         raise IdealShapeError(
             f"span does not factor as H (x) B0 on the {side} side; "
             "the input was not an ideal of that side"

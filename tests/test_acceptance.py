@@ -67,7 +67,6 @@ from cendlab.workbench import (
     module_closure,
     module_unit,
     op_product,
-    operator_algebra,
     phi,
     phi_inv,
     right_annihilator,
@@ -94,7 +93,7 @@ from cendlab.operad import (
     tree_compose,
 )
 
-from conftest import TARGET_GROUPS, rand_invertible
+from conftest import TARGET_GROUPS, operator_algebra, rand_invertible
 
 
 SMALL_GROUPS = {k: TARGET_GROUPS[k] for k in ("C2", "C3", "C4", "C2xC2")}

@@ -24,9 +24,9 @@ from cendlab.classify import (
     theta_bridge,
     validate_chi,
 )
-from cendlab.workbench import WorkbenchError, _first_slot_components, evaluate, is_irreducible
+from cendlab.workbench import WorkbenchError, evaluate, is_irreducible
 
-from conftest import TARGET_GROUPS, pairwise_product_rule, rand_invertible
+from conftest import TARGET_GROUPS, first_slot_components, pairwise_product_rule, rand_invertible
 
 
 def q(x):
@@ -462,7 +462,7 @@ def test_extract_chi_rejects_a_non_scalar_off_identity_component():
         if (1, 3) in comps and comps[(1, 3)] == Mat.unit(2, 2, 0, 1, QQ):
             comps[(1, 3)] = comps[(1, 3)].scale(q(2))
         skewed.append(DiffElem(amb, comps))
-    component = _first_slot_components(SubSpan.from_elems(amb, skewed))[1]
+    component = first_slot_components(SubSpan.from_elems(amb, skewed))[1]
     assert component != d.components[1] and component.dim == d.components[1].dim
     assert extract_chi(d) == ChiFunction.constant_one(g, QQ)
     d.components[1] = component

@@ -1,8 +1,21 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+
+import cendlab
+
+
+def child_env(**extra):
+    """This environment for a child interpreter, with the directory this
+    process imports ``cendlab`` from put first on PYTHONPATH, so that the
+    child runs the same package from a checkout or an install."""
+    import_root = os.path.dirname(os.path.dirname(os.path.abspath(cendlab.__file__)))
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (import_root, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def run_cli(tmp_path, job, command=None, extra=()):
@@ -15,6 +28,7 @@ def run_cli(tmp_path, job, command=None, extra=()):
          "--output", str(out_path), *extra],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     report = None
     if out_path.exists():
@@ -146,6 +160,35 @@ def test_malformed_group_table_exits_2(tmp_path):
     assert "input error" in proc.stderr
 
 
+C2 = {"kind": "cyclic", "n": 2}
+
+
+@pytest.mark.parametrize("job", [
+    {"command": "classify", "group": {"kind": "cyclic", "n": 4}, "subgroup": [0, 99]},
+    {"command": "wn", "group": C2, "gset": {"kind": "cosets", "subgroup": [0, 5]}},
+    {"command": "simple", "group": C2, "gset": {"kind": "union", "parts": []}},
+    {"command": "phi", "group": C2, "trials": -1},
+    {"command": "axioms", "group": C2, "trials": -1},
+    {"command": "operad", "trials": -1},
+    {"command": "operad", "max_m": 0},
+    {"command": "weyl", "degree": -1},
+], ids=[
+    "subgroup-id-out-of-range", "coset-id-out-of-range", "empty-union", "phi-negative-trials",
+    "axioms-negative-trials", "operad-negative-trials", "operad-max-m-0", "weyl-negative-degree",
+])
+def test_malformed_input_exits_2(tmp_path, capsys, job):
+    # input that indexed a table with unchecked ids, or that checked nothing
+    # and passed, is refused where it enters
+    from cendlab.cli import main
+
+    job_path = tmp_path / "job.json"
+    job_path.write_text(json.dumps(job))
+    out_path = tmp_path / "report.json"
+    assert main([job["command"], "--input", str(job_path), "--output", str(out_path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not out_path.exists()
+
+
 def test_unknown_command_exits_2(tmp_path):
     job_path = tmp_path / "job.json"
     job_path.write_text(json.dumps({"command": "axioms", "group": {"kind": "cyclic", "n": 2}}))
@@ -153,6 +196,7 @@ def test_unknown_command_exits_2(tmp_path):
         [sys.executable, "-m", "cendlab.cli", "hopf", "--input", str(job_path)],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 2  # job/command disagreement
 
@@ -165,18 +209,15 @@ def test_reports_deterministic(tmp_path):
 
 
 def test_field_env_override(tmp_path, monkeypatch):
-    import os
-
     job_path = tmp_path / "job.json"
     job_path.write_text(
         json.dumps({"command": "hopf", "group": {"kind": "cyclic", "n": 2}})
     )
-    env = dict(os.environ, CENDLAB_FIELD="cyclotomic:4")
     proc = subprocess.run(
         [sys.executable, "-m", "cendlab.cli", "hopf", "--input", str(job_path), "--summary"],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(CENDLAB_FIELD="cyclotomic:4"),
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
@@ -268,6 +309,19 @@ def test_phi_broken_invariance_is_a_failed_check_not_an_input_error(tmp_path, mo
     assert detail["not_invariant"] == broken
     assert set(detail) == {"a", "b", "g", "not_invariant"}
     assert not report["passed"]
+
+
+def test_product_law_is_compared_with_the_sweedler_product(tmp_path, monkeypatch):
+    # op.product-law takes its right side from the Sweedler expansion, so a
+    # wrong one fails that check alone, while the transport (against
+    # diff_product) still passes
+    import cendlab.cli
+
+    real = cendlab.cli.diff_product_sweedler
+    monkeypatch.setattr(cendlab.cli, "diff_product_sweedler", lambda a, b, g: real(a, b, g) + a)
+    code, report = run_main_on_golden(tmp_path, "phi_c2_n2")
+    assert code == 1
+    assert failed_checks(report) == ["op.product-law"]
 
 
 @pytest.mark.parametrize("fake, defect", [
@@ -529,7 +583,7 @@ CANONICALIZED_GOLDENS = [
 def test_canonicalize_eliminates_only_inside_components(tmp_path, monkeypatch, name):
     # canonicalize straightens each first-slot component on its own: no
     # elimination in the whole algebra, no whole-span image and no second
-    # split of it into components
+    # grading of it into components
     import cendlab.classify
     import cendlab.cli
     import cendlab.linalg
@@ -570,10 +624,11 @@ def test_canonicalize_eliminates_only_inside_components(tmp_path, monkeypatch, n
         "apply_automorphism",
         watched("apply_automorphism", cendlab.classify.apply_automorphism),
     )
-    split = watched("_first_slot_components", cendlab.workbench._first_slot_components)
-    # also any binding of its own that classify holds
-    monkeypatch.setattr(cendlab.workbench, "_first_slot_components", split)
-    monkeypatch.setattr(cendlab.classify, "_first_slot_components", split, raising=False)
+    # the image is not graded again: grading is where a span is split into
+    # its first-slot components, and classify holds its own binding of it
+    regrade = watched("grading", cendlab.workbench.grading)
+    monkeypatch.setattr(cendlab.workbench, "grading", regrade)
+    monkeypatch.setattr(cendlab.classify, "grading", regrade)
     code, report = run_main_on_golden(tmp_path, name)
     assert code == 0 and "subgroup" in report["result"]
     assert len(algebra_dims) == 1 and ambients

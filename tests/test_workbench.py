@@ -9,20 +9,19 @@ from cendlab.groups import cyclic_group, coset_gset, symmetric_group, subgroups,
 from cendlab.hopf import basis_h, one_h
 from cendlab.classify import ChiFunction, apply_automorphism, build_sigma, chi_span, grading
 from cendlab.conformal import Ambient, DiffElem, SubSpan, cend, cur, diff_product, subalgebra_closure_witness
-from cendlab.linalg import BlockOp, EchelonBuilder, Mat, SubspaceBasis, dense, span_closure
+from cendlab.linalg import BlockOp, EchelonBuilder, Mat, SubspaceBasis, dense, dense_blocks, span_closure
 from cendlab.workbench import (
-    _first_slot_components,
     ConfOperator,
     IdealShapeError,
     NotTInvariantError,
     WorkbenchError,
-    centralizer,
     check_Tinvariance,
     construct_shift_functions,
     enrich,
     evaluate,
     fourier,
     fourier_inv,
+    fourier_span,
     gamma_op,
     ideal_shape,
     invariant_submodule_search,
@@ -38,7 +37,6 @@ from cendlab.workbench import (
     module_closure,
     module_unit,
     op_product,
-    operator_algebra,
     phi,
     phi_inv,
     right_annihilator,
@@ -46,7 +44,13 @@ from cendlab.workbench import (
     wn_span,
 )
 
-from conftest import pairwise_product_rule, rand_invertible
+from conftest import (
+    centralizer,
+    first_slot_components,
+    operator_algebra,
+    pairwise_product_rule,
+    rand_invertible,
+)
 
 
 def q(x):
@@ -673,6 +677,141 @@ def test_grading_decides_like_the_oracles(data):
     assert res.enriched_dim == enriched.dim
 
 
+def with_single_slot_extra(data, C):
+    """C with one more element with a single first slot: a homogeneous span
+    stays homogeneous and mostly stops being closed."""
+    amb = C.ambient
+    n = amb.n
+    g = data.draw(st.sampled_from(list(amb.group.elements())))
+    keys = st.tuples(st.just(g), st.sampled_from(list(amb.gset.points())))
+    matrix = st.lists(scalars(amb.field), min_size=n * n, max_size=n * n).map(
+        lambda entries: Mat.from_flat(entries, n, n)
+    )
+    extra = DiffElem(amb, data.draw(st.dictionaries(keys, matrix, min_size=1, max_size=2)))
+    return SubSpan.from_elems(amb, list(C.basis_elems()) + [extra])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_grading_reads_the_components_like_the_projection_oracle(data):
+    # components, pivots and block ranks read off the span's RREF rows
+    # against the projections eliminated again, the route they replaced
+    field = data.draw(st.sampled_from([QQ, ZETA4]))
+    group, n = data.draw(st.sampled_from(GRADING_CASES))
+    amb = Ambient(group, n, field=field)
+    C = draw_span(data, amb)
+    if data.draw(st.booleans()):
+        C = with_single_slot_extra(data, C)
+    decomp = grading(C)
+    oracle = first_slot_components(C)
+    n2 = n * n
+    for g, comp in oracle.items():
+        rows = [dense_blocks(row, n2, field.zero) for row in comp.srows]
+        for w in amb.gset.points():
+            assert decomp.ranks[(g, w)] == Mat([x[w] for x in rows if w in x]).rank()
+    if sum(comp.dim for comp in oracle.values()) == C.dim:
+        assert decomp.components == oracle
+        assert all(decomp.components[g].pivots == comp.pivots for g, comp in oracle.items())
+        return
+    assert decomp.components is None
+    named = re.fullmatch(
+        r"not homogeneous in the first slot; RREF row (\d+) touches first slots (\d+) and (\d+)",
+        decomp.defect,
+    )
+    i, g, h = map(int, named.groups())
+    block = amb.gset.size * n2
+    slots = [{k // block for k in row} for row in C.basis.srows]
+    # the first row reaching into two first slots, and two of its slots
+    assert g != h and {g, h} <= slots[i]
+    assert all(len(touched) == 1 for touched in slots[:i])
+
+
+def oracle_ideal_shape(B, side):
+    """B0 by the projection route ``ideal_shape`` replaced: the first-slot
+    projections of the (untwisted) span, eliminated again, must all be
+    equal and add up to the span; None when they do not."""
+    span = fourier_span(B, inverse=True) if side == "left" else B
+    projections = list(first_slot_components(span).values())
+    first = projections[0]
+    if any(p != first for p in projections[1:]) or sum(p.dim for p in projections) != span.dim:
+        return None
+    return first
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ideal_shape_matches_the_projection_oracle(data):
+    # left and right ideal closures, with and without one more element,
+    # read on either side: the same B0, or a refusal exactly when the
+    # oracle route refuses
+    field = data.draw(st.sampled_from([QQ, ZETA4]))
+    group, n = data.draw(st.sampled_from(GRADING_CASES))
+    amb = Ambient(group, n, field=field)
+    matrix = st.lists(scalars(field), min_size=n * n, max_size=n * n).map(
+        lambda entries: Mat.from_flat(entries, n, n)
+    )
+    keys = st.tuples(
+        st.sampled_from(list(group.elements())), st.sampled_from(list(amb.gset.points()))
+    )
+    elems = st.dictionaries(keys, matrix, min_size=1, max_size=3).map(
+        lambda comps: DiffElem(amb, comps)
+    )
+    gens = data.draw(st.lists(elems, min_size=1, max_size=2))
+    closed_on = data.draw(st.sampled_from(["left", "right"]))
+    B = left_ideal_closure(gens) if closed_on == "left" else right_ideal_closure(gens)
+    if data.draw(st.booleans()):
+        B = SubSpan.from_elems(amb, list(B.basis_elems()) + [data.draw(elems)])
+    side = data.draw(st.sampled_from(["left", "right"]))
+    expect = oracle_ideal_shape(B, side)
+    if expect is None:
+        with pytest.raises(IdealShapeError):
+            ideal_shape(B, side)
+    else:
+        assert ideal_shape(B, side) == expect
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_grading_and_ideal_shape_eliminate_nothing_again(monkeypatch, side):
+    # the components are the span's RREF rows grouped by first slot: grading
+    # builds no basis by elimination, and ideal_shape only the twist of a
+    # left ideal
+    import cendlab.workbench
+
+    calls = []
+    twisting = []
+    real_from_vectors = SubspaceBasis.from_vectors.__func__
+    real_fourier_span = cendlab.workbench.fourier_span
+
+    def from_vectors(cls, ambient, vectors):
+        calls.append("twist" if twisting else "other")
+        return real_from_vectors(cls, ambient, vectors)
+
+    def fourier_span(span, inverse=False):
+        twisting.append(True)
+        try:
+            return real_fourier_span(span, inverse)
+        finally:
+            twisting.pop()
+
+    amb = Ambient(C4, 2)
+    spans = [
+        cend(amb),
+        cur(C4, 2),
+        chi_span(C4, (0, 2), ChiFunction.constant_one(C4, QQ), 2, QQ),
+        SubSpan.from_elems(amb, [amb.basis_elem(0, 0, 0, 0) + amb.basis_elem(1, 0, 0, 0)]),
+    ]
+    gens = [amb.basis_elem(1, 2, 0, 1), amb.basis_elem(0, 3, 1, 1)]
+    ideal = left_ideal_closure(gens) if side == "left" else right_ideal_closure(gens)
+    monkeypatch.setattr(SubspaceBasis, "from_vectors", classmethod(from_vectors))
+    monkeypatch.setattr(cendlab.workbench, "fourier_span", fourier_span)
+    for span in spans:
+        grading(span)
+    assert calls == []
+    b0 = ideal_shape(ideal, side)
+    assert calls == (["twist"] if side == "left" else [])
+    assert b0.dim * C4.order == ideal.dim
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_product_rule_closure_matches_pairwise_oracle(data):
@@ -683,17 +822,9 @@ def test_product_rule_closure_matches_pairwise_oracle(data):
     amb = Ambient(group, n, field=field)
     C = draw_span(data, amb)
     if data.draw(st.booleans()):
-        # one more element with a single first slot: a homogeneous span stays
-        # homogeneous and mostly stops being closed
-        g = data.draw(st.sampled_from(list(group.elements())))
-        keys = st.tuples(st.just(g), st.sampled_from(list(amb.gset.points())))
-        matrix = st.lists(scalars(field), min_size=n * n, max_size=n * n).map(
-            lambda entries: Mat.from_flat(entries, n, n)
-        )
-        extra = DiffElem(amb, data.draw(st.dictionaries(keys, matrix, min_size=1, max_size=2)))
-        C = SubSpan.from_elems(amb, list(C.basis_elems()) + [extra])
+        C = with_single_slot_extra(data, C)
     defect = grading(C).defect
-    if sum(comp.dim for comp in _first_slot_components(C).values()) != C.dim:
+    if sum(comp.dim for comp in first_slot_components(C).values()) != C.dim:
         assert defect.startswith("not homogeneous")
         return
     report = pairwise_product_rule(C)
